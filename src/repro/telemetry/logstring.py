@@ -12,7 +12,7 @@ percent-encoding of reserved characters, so arbitrary values round-trip.
 from __future__ import annotations
 
 from typing import Dict
-from urllib.parse import parse_qsl, quote
+from urllib.parse import quote, unquote
 
 __all__ = ["encode_log_string", "decode_log_string", "LOG_PATH"]
 
@@ -77,6 +77,13 @@ def encode_log_string(params: Dict[str, str]) -> str:
 def decode_log_string(log_string: str) -> Dict[str, str]:
     """Parse a log string back to its parameter dict.
 
+    Returns exactly ``dict(parse_qsl(query, keep_blank_values=True))``
+    -- ``urllib``'s parser is the oracle the tests hold this loop to,
+    not the implementation: every stored line is decoded once per
+    analysis pass, and almost no report field carries an escape, so only
+    a ``name=value`` piece containing ``%`` or ``+`` pays for the
+    unquoter.
+
     Raises ``ValueError`` for strings that are not ``/log?...`` requests --
     the log server discards malformed lines the same way an HTTP server
     404s unknown paths.
@@ -84,7 +91,15 @@ def decode_log_string(log_string: str) -> Dict[str, str]:
     path, sep, query = log_string.partition("?")
     if path != LOG_PATH or not sep:
         raise ValueError(f"not a log request: {log_string[:40]!r}")
-    pairs = parse_qsl(query, keep_blank_values=True, strict_parsing=False)
-    if not pairs:
+    params: Dict[str, str] = {}
+    for piece in query.split("&"):
+        if not piece:
+            continue
+        name, _, value = piece.partition("=")
+        if "%" in piece or "+" in piece:
+            name = unquote(name.replace("+", " "))
+            value = unquote(value.replace("+", " "))
+        params[name] = value
+    if not params:
         raise ValueError("empty log string")
-    return dict(pairs)
+    return params

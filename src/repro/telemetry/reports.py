@@ -316,4 +316,7 @@ def parse_report(params: Dict[str, str]) -> Report:
         cls = _REGISTRY[params["type"]]
     except KeyError:
         raise ValueError(f"unknown report type {params.get('type')!r}") from None
-    return cls.from_params(params)  # type: ignore[attr-defined]
+    try:
+        return cls.from_params(params)  # type: ignore[attr-defined]
+    except KeyError as exc:
+        raise ValueError(f"{cls.TYPE!r} report lacks field {exc}") from None

@@ -52,8 +52,10 @@ class LogServer:
     """Collects log strings from peers.
 
     ``receive`` is the HTTP endpoint: it accepts the raw string and the
-    (simulated) arrival time.  Malformed requests are counted and dropped,
-    not raised -- a log server must survive garbage.
+    (simulated) arrival time.  Malformed requests -- anything that does
+    not parse to a report -- are counted and dropped, not raised: a log
+    server must survive garbage, and so must every later analysis pass
+    over what it stored.
 
     ``sink`` selects the storage backend; omitted, it resolves through
     :func:`repro.telemetry.sink.default_sink` (in-memory unless a spill
@@ -67,12 +69,13 @@ class LogServer:
     # --- ingestion -------------------------------------------------------
     def receive(self, arrival_time: float, log_string: str) -> bool:
         """Store one log string; returns False (and counts) if malformed."""
+        entry = LogEntry(arrival_time, log_string)
         try:
-            decode_log_string(log_string)
+            entry.parse()
         except ValueError:
             self.malformed_count += 1
             return False
-        self.sink.append(LogEntry(arrival_time, log_string))
+        self.sink.append(entry)
         return True
 
     def receive_report(self, arrival_time: float, report: Report) -> None:
@@ -137,12 +140,11 @@ class LogServer:
         """
         server = cls(sink=sink)
         for line in fp:
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
             try:
                 entry = LogEntry.from_line(line)
-                decode_log_string(entry.log_string)
+                entry.parse()
             except ValueError:
                 server.malformed_count += 1
                 continue

@@ -34,6 +34,7 @@ import gzip
 import itertools
 import json
 import os
+import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, List, Optional, Protocol
 
@@ -58,6 +59,11 @@ SPILL_ENV_VAR = "REPRO_LOG_SPILL"
 #: in-memory tail of a spilled log stays small while chunks stay large
 #: enough that per-chunk overhead (open/fsync/manifest rewrite) is noise.
 DEFAULT_LINES_PER_CHUNK = 50_000
+
+#: Chunks are deflated at zlib's default level, not ``GzipFile``'s
+#: implicit 9: on a real 243k-line (23 MB) ODE log level 9 cost 0.60 s
+#: of deflate against 0.26 s, for chunks 1.5% smaller.
+_CHUNK_COMPRESSLEVEL = 6
 
 _MANIFEST_NAME = "manifest.json"
 
@@ -184,7 +190,8 @@ class SpillSink:
         if self.compress:
             # mtime=0 keeps chunk bytes a pure function of their contents
             with open(path, "wb") as fh:
-                with gzip.GzipFile(fileobj=fh, mode="wb", mtime=0) as gz:
+                with gzip.GzipFile(fileobj=fh, mode="wb", mtime=0,
+                                   compresslevel=_CHUNK_COMPRESSLEVEL) as gz:
                     gz.write(raw)
                 fh.flush()
                 os.fsync(fh.fileno())
@@ -234,22 +241,38 @@ class SpillSink:
     def iter_entries(self) -> Iterator["LogEntry"]:
         """Stream rotated chunks from disk, then the in-memory tail."""
         for chunk in list(self._chunks):
-            yield from _read_chunk(self.directory / chunk["file"])
+            yield from _read_chunk(self.directory / chunk["file"],
+                                   chunk["lines"])
         # snapshot: appends during iteration must not shift the view
         for entry in list(self._tail):
             yield entry
 
 
-def _read_chunk(path: Path) -> Iterator["LogEntry"]:
-    """Stream the entries of one chunk file (gzip or plain)."""
+def _read_chunk(path: Path, lines: int) -> Iterator["LogEntry"]:
+    """Stream the entries of one chunk file (gzip or plain).
+
+    A manifest-listed chunk that is missing, truncated or corrupt -- or
+    holds another number of lines than the manifest recorded for it --
+    raises ``ValueError`` naming the file: analysing the part of a log
+    that happens to be readable would silently change every figure.
+    """
     from repro.telemetry.server import LogEntry
 
+    from_line = LogEntry.from_line
     opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "rt", encoding="utf-8") as fh:  # type: ignore[operator]
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield LogEntry.from_line(line)
+    seen = 0
+    try:
+        with opener(path, "rt", encoding="utf-8") as fh:  # type: ignore[operator]
+            for line in fh:
+                if not line.isspace():
+                    seen += 1
+                    yield from_line(line)
+    except (OSError, EOFError, zlib.error, ValueError) as exc:
+        raise ValueError(f"spill chunk {path} is unreadable: {exc!r}") from exc
+    if seen != lines:
+        raise ValueError(
+            f"spill chunk {path} holds {seen} lines, manifest says {lines}"
+        )
 
 
 class LogReader:
@@ -278,7 +301,8 @@ class LogReader:
     def iter_entries(self) -> Iterator["LogEntry"]:
         """Stream every entry of every manifest-listed chunk, in order."""
         for chunk in self.manifest.get("chunks", ()):
-            yield from _read_chunk(self.directory / chunk["file"])
+            yield from _read_chunk(self.directory / chunk["file"],
+                                   chunk["lines"])
 
     def reports(self) -> Iterator[object]:
         """Parsed reports, in arrival (append) order."""

@@ -71,18 +71,25 @@ class TestHostileInput:
 
         server = LogServer()
         for junk in ("", "GET /", "/log", "/log?", "???", "/log?type=act"):
-            server.receive(0.0, junk)
-        # the last one decodes as a dict but fails report parsing later;
-        # storage-level validation only requires log-string syntax
-        assert server.malformed_count >= 5
+            assert not server.receive(0.0, junk)
+        # the last one decodes as a dict but is not a report: dropped at
+        # the door too, or the next analysis pass would die on it
+        assert server.malformed_count == 6
+        assert len(server) == 0
 
     def test_unknown_report_type_fails_loudly_at_parse(self):
         from repro.telemetry.server import LogServer
 
+        from repro.telemetry.server import LogEntry
+
+        line = "/log?type=alien&t=1"
+        with pytest.raises(ValueError, match="unknown report type"):
+            LogEntry(0.0, line).parse()
+        # ... which is the check the server runs at the door
         server = LogServer()
-        assert server.receive(0.0, "/log?type=alien&t=1")
-        with pytest.raises(ValueError):
-            list(server.reports())
+        assert not server.receive(0.0, line)
+        assert server.malformed_count == 1
+        assert list(server.reports()) == []
 
     def test_rpc_to_never_existing_node(self, small_system):
         small_system.rpc(0, 999999, "rpc_bm_update", 0, None)

@@ -15,6 +15,7 @@ from repro.analysis.continuity import (
 from repro.analysis.contribution import contribution_by_type, upload_totals
 from repro.analysis.funnel import join_funnel
 from repro.analysis.partners import churn_by_type, partner_events
+from repro.analysis import streaming
 from repro.analysis.sessions import SessionTable
 from repro.analysis.streaming import (
     ClassifyUsersFold,
@@ -29,6 +30,12 @@ from repro.analysis.streaming import (
     iter_reports,
 )
 from repro.runtime import run_scenario
+from repro.telemetry.reports import (
+    ActivityReport,
+    PartnerReport,
+    QoSReport,
+    TrafficReport,
+)
 from repro.telemetry.server import LogServer
 from repro.telemetry.sink import SpillSink
 from repro.workload.scenarios import steady_audience
@@ -135,6 +142,75 @@ class TestSinglePassEqualsWholeTrace:
         (table,) = fold_log(mem_log, SessionTableFold())
         assert _table_payload(table) == \
                _table_payload(SessionTable.from_log(mem_log))
+
+
+def _shipped_folds():
+    """Every ``Fold`` subclass ``analysis.streaming`` defines."""
+    return sorted(
+        (cls for cls in vars(streaming).values()
+         if isinstance(cls, type) and issubclass(cls, Fold) and cls is not Fold),
+        key=lambda cls: cls.__name__)
+
+
+def _comparable(result):
+    """A fold result as plain values ``==`` can compare."""
+    if isinstance(result, SessionTable):
+        return _table_payload(result)
+    if isinstance(result, tuple):
+        return tuple(r.tolist() if isinstance(r, np.ndarray) else r
+                     for r in result)
+    return result
+
+
+class TestDispatchEqualsShowingEveryReport:
+    """``fold_log`` shows a fold only the report classes it ``consumes``;
+    the result must be what calling ``update`` on every report gives, or
+    the declaration has dropped reports."""
+
+    def test_every_shipped_fold_declares_what_it_consumes(self):
+        assert len(_shipped_folds()) >= 7
+        assert all(cls.consumes != Fold.consumes for cls in _shipped_folds())
+
+    @pytest.mark.parametrize("fold_cls", _shipped_folds(),
+                             ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("storage", ["memory", "spilled"])
+    def test_fold(self, fold_cls, storage, mem_log, spilled_log):
+        log = mem_log if storage == "memory" else spilled_log
+        assert {type(r) for r in log.reports()} == {
+            ActivityReport, QoSReport, TrafficReport, PartnerReport}
+        reference = fold_cls()
+        for report in log.reports():
+            reference.update(report)
+        (alone,) = fold_log(log, fold_cls())
+        assert _comparable(alone) == _comparable(reference.result())
+        # ... and as one of many in a single pass, in any position
+        others = [cls() for cls in _shipped_folds()]
+        among = fold_log(log, *others, fold_cls())[-1]
+        assert _comparable(among) == _comparable(reference.result())
+
+    def test_undeclared_fold_sees_every_report_in_order(self, mem_log):
+        class Times(Fold):
+            def __init__(self):
+                self.seen = []
+
+            def update(self, report):
+                self.seen.append((type(report), report.time))
+
+            def result(self):
+                return self.seen
+
+        (seen, _) = fold_log(mem_log, Times(), UploadTotalsFold())
+        assert seen == [(type(r), r.time) for r in mem_log.reports()]
+
+    def test_subclassed_reports_reach_their_parents_folds(self):
+        class TaggedQoS(QoSReport):
+            pass
+
+        report = TaggedQoS(time=1.0, node_id=1, user_id=1, session_id=1,
+                           continuity=0.5, playing=True)
+        (samples, totals) = fold_log(
+            [report], ContinuitySamplesFold(), UploadTotalsFold())
+        assert samples == [(1.0, 1, 0.5)] and totals == {}
 
 
 class TestFigurePayloadsUnderSpill:

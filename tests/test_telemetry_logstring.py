@@ -1,10 +1,12 @@
 """Unit and property tests for the log-string codec."""
 
+from urllib.parse import parse_qsl
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry.logstring import decode_log_string, encode_log_string
+from repro.telemetry.logstring import LOG_PATH, decode_log_string, encode_log_string
 
 
 class TestEncode:
@@ -68,6 +70,65 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     def test_property_roundtrip(self, params):
         assert decode_log_string(encode_log_string(params)) == params
+
+
+def _oracle_decode(log_string):
+    """The decoder as it was: ``parse_qsl`` does the work.  ``urllib``'s
+    parser is the contract ``decode_log_string`` is held to."""
+    path, sep, query = log_string.partition("?")
+    if path != LOG_PATH or not sep:
+        raise ValueError(f"not a log request: {log_string[:40]!r}")
+    pairs = parse_qsl(query, keep_blank_values=True, strict_parsing=False)
+    if not pairs:
+        raise ValueError("empty log string")
+    return dict(pairs)
+
+
+def _outcome(decode, log_string):
+    """What a decoder does with a string: its items in order, or its error."""
+    try:
+        return list(decode(log_string).items())
+    except ValueError as exc:
+        return str(exc)
+
+
+# everything the query grammar gives meaning to, whole and broken escapes
+# (bad hex, cut short, invalid and multi-byte UTF-8), and raw non-ASCII
+_query = st.lists(st.sampled_from(
+    list("=&%+;:| ?/#aZ09_.-~") + [
+        "%3A", "%7C", "%26", "%3D", "%2B", "%25", "%20", "%3a",
+        "%zz", "%4", "%", "%ff", "%C3%A9", "%C3", "%E4%B8%AD", "%00",
+        "\u00e9", "\u4e2d", "\U0001f600", "type", "pev",
+    ]), max_size=24).map("".join)
+_prefix = st.sampled_from(
+    ["/log?"] * 8 + ["/log", "/log?/log?", "/stats?", "log?", "/log/?", "", " /log?"])
+
+
+class TestDecodeMatchesParseQsl:
+    """``decode_log_string`` no longer calls ``parse_qsl``; it must still
+    return what ``parse_qsl`` would, and fail where and how it would."""
+
+    @given(prefix=_prefix, query=_query)
+    @settings(max_examples=1000, deadline=None)
+    @example(prefix="/log?", query="")
+    @example(prefix="/log?", query="&&&")
+    @example(prefix="/log?", query="=")
+    @example(prefix="/log?", query="a")
+    @example(prefix="/log?", query="a=1&a=2&&b")
+    @example(prefix="/log?", query="a%3Db=c%26d&x+y=1+2")
+    @example(prefix="/log?", query="k=%zz%4&%=%")
+    @example(prefix="/log", query="?a=b")
+    @example(prefix="/log", query="a=b")
+    def test_same_dict_or_same_error(self, prefix, query):
+        log_string = prefix + query
+        assert _outcome(decode_log_string, log_string) == \
+               _outcome(_oracle_decode, log_string)
+
+    @given(params=st.dictionaries(_name, _value, min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_encoded_strings_decode_as_parse_qsl_does(self, params):
+        s = encode_log_string(params)
+        assert _outcome(decode_log_string, s) == _outcome(_oracle_decode, s)
 
 
 class TestEdgeCases:

@@ -1,5 +1,7 @@
 """Round-trip tests for every report type."""
 
+from urllib.parse import parse_qsl
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from repro.telemetry.reports import (
     TrafficReport,
     parse_report,
 )
+from repro.telemetry.server import LogEntry
 
 
 def roundtrip(report):
@@ -178,6 +181,23 @@ class TestFastWireEncoding:
         "report", REPORTS, ids=lambda r: type(r).__name__)
     def test_matches_codec(self, report):
         assert report.to_log_string() == encode_log_string(report.to_params())
+
+    @pytest.mark.parametrize(
+        "report", REPORTS, ids=lambda r: type(r).__name__)
+    def test_wire_round_trip(self, report):
+        """Join and leave-with-``why``, QoS with and without ``ci``,
+        partner with and without ``pev``: the stored line decodes to what
+        ``parse_qsl`` makes of it and parses back to the report that the
+        wire's rounding left."""
+        wire = report.to_log_string()
+        params = decode_log_string(wire)
+        assert params == report.to_params()
+        assert list(params.items()) == parse_qsl(
+            wire.partition("?")[2], keep_blank_values=True)
+        back = LogEntry(0.0, wire).parse()
+        assert back == parse_report(report.to_params())
+        assert type(back) is type(report)
+        assert back.to_log_string() == wire
 
     @given(
         t=st.floats(min_value=0, max_value=1e6),

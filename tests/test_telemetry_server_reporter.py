@@ -26,6 +26,19 @@ def mk_status(now=0.0):
     )
 
 
+#: lines that pass the log-string codec but are not reports
+NOT_REPORTS = (
+    "/log?foo=bar",                                    # no type
+    "/log?type=alien&t=1",                             # unknown type
+    "/log?type=act&t=x&node=1&user=1&sess=1&ev=join",  # bad number
+    "/log?type=act&t=1&node=1&user=1&sess=1&ev=nap",   # bad enum
+    "/log?type=act&t=1&node=1",                        # fields missing
+    "/log?type=qos&t=1&node=1&user=1&sess=1&buf=zz",
+    "/log?type=traf&t=1&node=1&user=1&sess=1&up=1",
+    "/log?type=part&t=1&node=1&user=1&sess=1&pev=1.0%3Aa%3A7",  # short token
+)
+
+
 class TestLogServer:
     def test_receive_valid_string(self):
         server = LogServer()
@@ -37,6 +50,24 @@ class TestLogServer:
         assert not server.receive(1.0, "GET /favicon.ico")
         assert len(server) == 0
         assert server.malformed_count == 1
+
+    @pytest.mark.parametrize("line", NOT_REPORTS)
+    def test_receive_drops_lines_that_are_not_reports(self, line):
+        # the line URL-decodes, so it used to be stored -- and the next
+        # reports()/fold_log pass over the log died on it
+        server = LogServer()
+        server.receive_report(0.0, mk_status()[0])
+        assert not server.receive(1.0, line)
+        assert server.malformed_count == 1
+        assert len(server) == 1
+        assert [type(r) for r in server.reports()] == [QoSReport]
+
+    def test_load_drops_lines_that_are_not_reports(self):
+        good = mk_status()[1].to_log_string()
+        text = "".join(f"1.0 {line}\n" for line in (*NOT_REPORTS, good))
+        back = LogServer.loads(text)
+        assert back.malformed_count == len(NOT_REPORTS)
+        assert [type(r) for r in back.reports()] == [TrafficReport]
 
     def test_reports_parse_in_arrival_order(self):
         server = LogServer()
@@ -69,13 +100,15 @@ class TestLogServer:
         assert LogEntry.from_line(entry.to_line()) == entry
 
     def test_load_skips_blank_lines(self):
-        back = LogServer.load(io.StringIO("\n1.0 /log?a=b\n\n"))
+        line = mk_status()[0].to_log_string()
+        back = LogServer.load(io.StringIO(f"\n1.0 {line}\n\n  \n"))
         assert len(back) == 1
+        assert back.malformed_count == 0
 
     def test_merged_with_sorts_by_arrival(self):
         a, b = LogServer(), LogServer()
-        a.receive(5.0, "/log?x=1")
-        b.receive(2.0, "/log?x=2")
+        a.receive_report(5.0, mk_status()[0])
+        b.receive_report(2.0, mk_status()[1])
         merged = a.merged_with(b)
         assert [e.arrival_time for e in merged.entries()] == [2.0, 5.0]
 
