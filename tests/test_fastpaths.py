@@ -260,3 +260,59 @@ class TestTimerBucketing:
         assert len(eng) == 0
         eng.run()
         assert eng.events_processed == 0
+
+
+class TestEngineLogBytesPinned:
+    """The vectorised engines' logs, byte for byte.
+
+    The digests were recorded with each peer's status triple emitted by a
+    per-peer method reading one numpy scalar at a time; any other way of
+    emitting the reports phase (or the activity reports) must reproduce
+    the same file, in memory and through a spill sink.
+    """
+
+    PINNED = {
+        "fast": (4060, "f8c091faf2d507d69c6f3f64b2566f29"
+                       "1d8809389d258c978878cd2f795f933e"),
+        "ode": (4023, "298fd6b038b12985a5e9fcb19f74d0e6"
+                      "c8f3ae12bf350f48828664d0da98d582"),
+    }
+
+    @staticmethod
+    def _run(engine):
+        from repro.runtime import run_scenario
+        from repro.workload.scenarios import evening_broadcast
+
+        scenario = evening_broadcast(horizon_s=1200.0, peak_rate=0.8)
+        return run_scenario(scenario, seed=0, engine=engine).log
+
+    @pytest.mark.parametrize("engine", sorted(PINNED))
+    def test_memory_and_spilled_logs_match_the_pin(self, engine, tmp_path,
+                                                   monkeypatch):
+        import hashlib
+
+        from repro.telemetry.sink import (
+            SPILL_ENV_VAR,
+            MemorySink,
+            SpillSink,
+            set_spill_root,
+        )
+
+        monkeypatch.delenv(SPILL_ENV_VAR, raising=False)
+        lines, digest = self.PINNED[engine]
+        log = self._run(engine)
+        assert isinstance(log.sink, MemorySink)
+        assert len(log) == lines
+        assert hashlib.sha256(log.dumps().encode()).hexdigest() == digest
+        # every status class, every leave reason the scenario can produce
+        assert {type(r).__name__ for r in log.reports()} == {
+            "ActivityReport", "QoSReport", "TrafficReport", "PartnerReport"}
+
+        set_spill_root(tmp_path / "spill")
+        try:
+            spilled = self._run(engine)
+        finally:
+            set_spill_root(None)
+        assert isinstance(spilled.sink, SpillSink)
+        assert len(spilled) == lines
+        assert hashlib.sha256(spilled.dumps().encode()).hexdigest() == digest
