@@ -100,9 +100,10 @@ def fold_log(source, *folds: Fold) -> Tuple:
     """
     if not folds:
         raise ValueError("fold_log needs at least one fold")
+    fed = _share_session_table(folds)
     # per report class, the updates to call, in fold order -- built the
     # first time the class is seen, so a report costs only the folds
-    # that consume it (of the seven shipped: 4/1/1/2 calls for
+    # that consume it (of the seven shipped: 2/1/1/2 calls for
     # activity/QoS/traffic/partner reports)
     updates_for: Dict[type, List[Callable[[Report], None]]] = {}
     for report in iter_reports(source):
@@ -111,11 +112,41 @@ def fold_log(source, *folds: Fold) -> Tuple:
             updates = updates_for[cls]
         except KeyError:
             updates = updates_for[cls] = [
-                f.update for f in folds if issubclass(cls, f.consumes)
+                f.update for f in fed if issubclass(cls, f.consumes)
             ]
         for update in updates:
             update(report)
     return tuple(f.result() for f in folds)
+
+
+def _share_session_table(folds: Tuple[Fold, ...]) -> List[Fold]:
+    """The folds one pass must feed, after pointing every fold that is a
+    view of the session table at one table.
+
+    ``ConcurrentUsersFold`` and ``JoinFunnelFold`` each reconstruct
+    sessions only to read a statistic off them; in one pass beside a
+    ``SessionTableFold`` (or beside each other) that is the same table
+    built two or three times.  Views that have seen no report yet adopt
+    the pass's first, still empty, ``SessionTableFold`` -- or the first
+    view's own -- and each distinct table is then fed once.  A fold that
+    was already fed by hand keeps its own table, so nothing it has seen
+    is lost or lent to another fold.
+    """
+    view_types = (ConcurrentUsersFold, JoinFunnelFold)
+    views = [f for f in folds if isinstance(f, view_types)]
+    # exactly a SessionTableFold: a subclass may reconstruct differently
+    shared = next((f for f in folds if type(f) is SessionTableFold), None)
+    if shared is None and views:
+        shared = views[0]._table
+    if shared is not None and not shared._sessions:
+        for view in views:
+            if not view._table._sessions:
+                view._table = shared
+    fed = [f for f in folds if not isinstance(f, view_types)]
+    for view in views:
+        if all(view._table is not f for f in fed):
+            fed.append(view._table)
+    return fed
 
 
 # ---------------------------------------------------------------------------

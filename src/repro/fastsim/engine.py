@@ -348,15 +348,21 @@ class FastSimulation:
     # ------------------------------------------------------------------
     # telemetry
     # ------------------------------------------------------------------
-    def _activity(self, slot: int, event: ActivityEvent,
-                  reason: Optional[LeaveReason] = None) -> None:
-        self.log.receive_report(self.now, ActivityReport(
-            time=self.now, node_id=int(slot) + 100_000,
-            user_id=int(self.user_id[slot]),
-            session_id=int(self.session_id[slot]),
-            event=event, attempt=int(self.attempt[slot]),
-            address_public=bool(self.public_addr[slot]), reason=reason,
-        ))
+    def _activities(self, slots: np.ndarray, event: ActivityEvent,
+                    reason: Optional[LeaveReason] = None) -> None:
+        """One activity report per peer of ``slots``, in that order, from
+        one gathered column per field."""
+        now = self.now
+        receive = self.log.receive_report
+        for slot, user, session, attempt, public in zip(
+                slots.tolist(), self.user_id[slots].tolist(),
+                self.session_id[slots].tolist(), self.attempt[slots].tolist(),
+                self.public_addr[slots].tolist()):
+            receive(now, ActivityReport(
+                time=now, node_id=slot + 100_000, user_id=user,
+                session_id=session, event=event, attempt=attempt,
+                address_public=public, reason=reason,
+            ))
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -424,8 +430,7 @@ class FastSimulation:
         self.next_try[slots] = 0.0
         self._next_session += n
         self.sessions_spawned += n
-        for slot in slots:
-            self._activity(int(slot), ActivityEvent.JOIN)
+        self._activities(slots, ActivityEvent.JOIN)
         if self._obs is not None:
             self._obs.registry.counter("fastsim.joins").inc(n)
 
@@ -461,8 +466,7 @@ class FastSimulation:
             loud = slots
         else:
             loud = slots[~silent]
-        for slot in loud:
-            self._activity(int(slot), ActivityEvent.LEAVE, reason)
+        self._activities(loud, ActivityEvent.LEAVE, reason)
         self.state[slots] = _EMPTY
         self.parent[slots, :] = -1
         self.depart_at[slots] = np.inf
@@ -688,9 +692,8 @@ class FastSimulation:
                     hooked = sel[filled > 0]
                     if hooked.size:
                         self.state[hooked] = _BUFFERING
-                        for slot in hooked:
-                            self._activity(
-                                int(slot), ActivityEvent.START_SUBSCRIPTION)
+                        self._activities(
+                            hooked, ActivityEvent.START_SUBSCRIPTION)
                     short = sel[filled < want.sum(axis=1)]
                     self.next_try[short] = now + cfg.bm_exchange_period_s
         if timing:
@@ -788,8 +791,7 @@ class FastSimulation:
                 self.state[ready_rows] = _PLAYING
                 self.ready_at[ready_rows] = now
                 self.q[ready_rows] = self.start_idx[ready_rows]
-                for slot in ready_rows:
-                    self._activity(int(slot), ActivityEvent.PLAYER_READY)
+                self._activities(ready_rows, ActivityEvent.PLAYER_READY)
         if timing:
             _pt = self._mark_phase("ready", _pt)
 
@@ -960,8 +962,7 @@ class FastSimulation:
                  > np.floor((now - dt - self.joined_at[alive] + self.report_phase[alive]) / period))
                 & (now - self.joined_at[alive] >= dt)
             ]
-            for slot in fires:
-                self._send_status(int(slot))
+            self._send_status_reports(fires)
         if timing:
             self._mark_phase("reports", _pt)
 
@@ -982,43 +983,46 @@ class FastSimulation:
             if _obs.progress is not None:
                 _obs.progress.maybe_beat(self.now, self.steps_run, "steps")
 
-    def _send_status(self, slot: int) -> None:
-        cfg = self.cfg
-        header = dict(
-            time=self.now, node_id=slot + 100_000,
-            user_id=int(self.user_id[slot]),
-            session_id=int(self.session_id[slot]),
-        )
-        cont = None
-        if self.win_due[slot] > 0:
-            cont = float(1.0 - self.win_missed[slot] / self.win_due[slot])
-            cont = max(0.0, min(1.0, cont))
-        self.log.receive_report(self.now, QoSReport(
-            **header, continuity=cont,
-            buffered_seconds=float(self.H[slot].min() + 1.0 - self.q[slot]),
-            n_parents=int((self.parent[slot] >= 0).sum()),
-            playing=bool(self.state[slot] == _PLAYING),
-        ))
-        self.win_due[slot] = 0.0
-        self.win_missed[slot] = 0.0
-        self.log.receive_report(self.now, TrafficReport(
-            **header,
-            bytes_up=float(self.bits_up[slot] - self.bits_up_rep[slot]) / 8.0,
-            bytes_down=float(self.bits_down[slot] - self.bits_down_rep[slot]) / 8.0,
-            total_up=float(self.bits_up[slot]) / 8.0,
-            total_down=float(self.bits_down[slot]) / 8.0,
-        ))
-        self.bits_up_rep[slot] = self.bits_up[slot]
-        self.bits_down_rep[slot] = self.bits_down[slot]
-        # partner report: fastsim tracks direction via ever_incoming (set
-        # when a contributor-class node accepts a child's partnership)
-        n_in = 1 if self.ever_incoming[slot] else 0
-        self.log.receive_report(self.now, PartnerReport(
-            **header, events=(),
-            n_partners=int((self.parent[slot] >= 0).sum()) + int(self.children[slot] > 0),
-            n_incoming=n_in,
-            n_outgoing=int((self.parent[slot] >= 0).sum()),
-        ))
+    def _send_status_reports(self, fires: np.ndarray) -> None:
+        """The QoS/traffic/partner triple of every peer of ``fires``, in
+        that order, from one gathered column per field."""
+        now = self.now
+        due = self.win_due[fires]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            window = 1.0 - self.win_missed[fires] / due
+        n_parents = (self.parent[fires] >= 0).sum(axis=1)
+        up = self.bits_up[fires]
+        down = self.bits_down[fires]
+        receive = self.log.receive_report
+        for (slot, user, session, measured, cont, buffered, parents, playing,
+             d_up, d_down, t_up, t_down, serving, incoming) in zip(
+                fires.tolist(), self.user_id[fires].tolist(),
+                self.session_id[fires].tolist(), (due > 0).tolist(),
+                window.tolist(),
+                (self.H[fires].min(axis=1) + 1.0 - self.q[fires]).tolist(),
+                n_parents.tolist(), (self.state[fires] == _PLAYING).tolist(),
+                ((up - self.bits_up_rep[fires]) / 8.0).tolist(),
+                ((down - self.bits_down_rep[fires]) / 8.0).tolist(),
+                (up / 8.0).tolist(), (down / 8.0).tolist(),
+                (self.children[fires] > 0).tolist(),
+                self.ever_incoming[fires].tolist()):
+            # positional: the header, then each class's fields in order
+            node = slot + 100_000
+            receive(now, QoSReport(
+                now, node, user, session,
+                max(0.0, min(1.0, cont)) if measured else None,
+                buffered, parents, playing))
+            receive(now, TrafficReport(
+                now, node, user, session, d_up, d_down, t_up, t_down))
+            # partner report: fastsim tracks direction via ever_incoming (set
+            # when a contributor-class node accepts a child's partnership)
+            receive(now, PartnerReport(
+                now, node, user, session, (), parents + serving,
+                1 if incoming else 0, parents))
+        self.win_due[fires] = 0.0
+        self.win_missed[fires] = 0.0
+        self.bits_up_rep[fires] = up
+        self.bits_down_rep[fires] = down
 
     # ------------------------------------------------------------------
     def run(self, until: float) -> None:

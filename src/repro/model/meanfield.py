@@ -276,15 +276,21 @@ class MeanFieldBackend:
     # ------------------------------------------------------------------
     # telemetry
     # ------------------------------------------------------------------
-    def _activity(self, i: int, event: ActivityEvent,
-                  reason: Optional[LeaveReason] = None) -> None:
-        self.log.receive_report(self.now, ActivityReport(
-            time=self.now, node_id=200_000 + int(i),
-            user_id=int(self.user_id[i]),
-            session_id=int(self.session_id[i]),
-            event=event, attempt=int(self.attempt[i]),
-            address_public=bool(self.public_addr[i]), reason=reason,
-        ))
+    def _activities(self, idx: np.ndarray, event: ActivityEvent,
+                    reason: Optional[LeaveReason] = None) -> None:
+        """One activity report per panel member of ``idx``, in that order,
+        from one gathered column per field."""
+        now = self.now
+        receive = self.log.receive_report
+        for i, user, session, attempt, public in zip(
+                idx.tolist(), self.user_id[idx].tolist(),
+                self.session_id[idx].tolist(), self.attempt[idx].tolist(),
+                self.public_addr[idx].tolist()):
+            receive(now, ActivityReport(
+                time=now, node_id=200_000 + i, user_id=user,
+                session_id=session, event=event, attempt=attempt,
+                address_public=public, reason=reason,
+            ))
 
     def _join(self, idx: np.ndarray) -> None:
         """Activate panel members (first join or retry)."""
@@ -297,8 +303,7 @@ class MeanFieldBackend:
             self._next_session, self._next_session + idx.size)
         self._next_session += idx.size
         self.sessions_spawned += idx.size
-        for i in idx:
-            self._activity(int(i), ActivityEvent.JOIN)
+        self._activities(idx, ActivityEvent.JOIN)
 
     def _leave(self, idx: np.ndarray, reason: LeaveReason, *,
                retry: bool, silent: Optional[np.ndarray] = None) -> None:
@@ -306,8 +311,7 @@ class MeanFieldBackend:
         if idx.size == 0:
             return
         loud = idx if silent is None else idx[~silent]
-        for i in loud:
-            self._activity(int(i), ActivityEvent.LEAVE, reason)
+        self._activities(loud, ActivityEvent.LEAVE, reason)
         self.stage[idx] = _LEFT
         self.next_watch[idx] = np.inf
         if retry:
@@ -416,8 +420,7 @@ class MeanFieldBackend:
                          >= FastSimConfig.join_overhead_s]
             if up.size:
                 self.stage[up] = _BUFFERING
-                for i in up:
-                    self._activity(int(i), ActivityEvent.START_SUBSCRIPTION)
+                self._activities(up, ActivityEvent.START_SUBSCRIPTION)
         buffering = np.nonzero(self.stage == _BUFFERING)[0]
         if buffering.size:
             self.buffered[buffering] += r_buf * dt
@@ -429,8 +432,7 @@ class MeanFieldBackend:
                 self.next_watch[ready] = now + cfg.stall_window_s
                 self.watch_c0[ready] = self._continuity_integral
                 self.watch_t0[ready] = now
-                for i in ready:
-                    self._activity(int(i), ActivityEvent.PLAYER_READY)
+                self._activities(ready, ActivityEvent.PLAYER_READY)
         if timing:
             _pt = self._mark_phase("transitions", _pt)
 
@@ -507,8 +509,7 @@ class MeanFieldBackend:
             fires = alive[(np.floor((age + phase) / period)
                            > np.floor((age - dt + phase) / period))
                           & (age >= dt)]
-            for i in fires:
-                self._send_status(int(i))
+            self._send_status_reports(fires)
         if timing:
             self._mark_phase("reports", _pt)
 
@@ -521,37 +522,36 @@ class MeanFieldBackend:
             out[cls == int(c)] = s
         return out
 
-    def _send_status(self, i: int) -> None:
-        playing = bool(self.stage[i] == _PLAYING)
-        header = dict(
-            time=self.now, node_id=200_000 + int(i),
-            user_id=int(self.user_id[i]),
-            session_id=int(self.session_id[i]),
-        )
-        cont = None
-        if playing:
-            cont = max(0.0, min(1.0, self._c_inst))
-        self.log.receive_report(self.now, QoSReport(
-            **header, continuity=cont,
-            buffered_seconds=float(self.buffered[i]),
-            n_parents=self.cfg.n_substreams if playing else 0,
-            playing=playing,
-        ))
-        self.log.receive_report(self.now, TrafficReport(
-            **header,
-            bytes_up=float(self.bits_up[i] - self.bits_up_rep[i]) / 8.0,
-            bytes_down=float(self.bits_down[i] - self.bits_down_rep[i]) / 8.0,
-            total_up=float(self.bits_up[i]) / 8.0,
-            total_down=float(self.bits_down[i]) / 8.0,
-        ))
-        self.bits_up_rep[i] = self.bits_up[i]
-        self.bits_down_rep[i] = self.bits_down[i]
-        self.log.receive_report(self.now, PartnerReport(
-            **header, events=(),
-            n_partners=self.cfg.n_substreams,
-            n_incoming=1 if self.incoming[i] else 0,
-            n_outgoing=self.cfg.n_substreams,
-        ))
+    def _send_status_reports(self, fires: np.ndarray) -> None:
+        """The QoS/traffic/partner triple of every panel member of
+        ``fires``, in that order, from one gathered column per field."""
+        now = self.now
+        k = self.cfg.n_substreams
+        cont = max(0.0, min(1.0, self._c_inst))
+        up = self.bits_up[fires]
+        down = self.bits_down[fires]
+        receive = self.log.receive_report
+        for (i, user, session, playing, buffered, d_up, d_down, t_up, t_down,
+             incoming) in zip(
+                fires.tolist(), self.user_id[fires].tolist(),
+                self.session_id[fires].tolist(),
+                (self.stage[fires] == _PLAYING).tolist(),
+                self.buffered[fires].tolist(),
+                ((up - self.bits_up_rep[fires]) / 8.0).tolist(),
+                ((down - self.bits_down_rep[fires]) / 8.0).tolist(),
+                (up / 8.0).tolist(), (down / 8.0).tolist(),
+                self.incoming[fires].tolist()):
+            # positional: the header, then each class's fields in order
+            node = 200_000 + i
+            receive(now, QoSReport(
+                now, node, user, session, cont if playing else None,
+                buffered, k if playing else 0, playing))
+            receive(now, TrafficReport(
+                now, node, user, session, d_up, d_down, t_up, t_down))
+            receive(now, PartnerReport(
+                now, node, user, session, (), k, 1 if incoming else 0, k))
+        self.bits_up_rep[fires] = up
+        self.bits_down_rep[fires] = down
 
     # ------------------------------------------------------------------
     # execution

@@ -16,11 +16,12 @@ retry sessions together (Fig. 10b).
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Optional, Type
+from typing import ClassVar, Dict, Optional, Pattern, Tuple, Type
 from urllib.parse import quote
 
-from .logstring import LOG_PATH, encode_log_string
+from .logstring import LOG_PATH, decode_log_string, encode_log_string
 
 __all__ = [
     "ActivityEvent",
@@ -33,6 +34,7 @@ __all__ = [
     "PartnerEvent",
     "PartnerReport",
     "parse_report",
+    "decode_report",
 ]
 
 
@@ -53,6 +55,26 @@ class LeaveReason(str, enum.Enum):
     IMPATIENCE = "impatience"  # gave up before the player became ready
     FAILURE = "failure"        # abrupt disconnect (no leave report reaches
                                # the server in this case -- see NodeReporter)
+
+
+_HEADER_KEYS = ("t", "node", "user", "sess")
+_TYPE_AT = len(f"{LOG_PATH}?type=")
+
+
+def _wire_pattern(report_type: str, *keys: str,
+                  optional: Tuple[str, ...] = ()) -> Pattern[str]:
+    """The canonical log string of one report class, as a pattern: the
+    header keys then ``keys``, in the order ``to_log_string`` writes
+    them, each value captured raw.  A value may hold anything but ``&``
+    (the separator) and ``%``/``+`` (the codec's escapes), so a string
+    that matches in full decodes to exactly the captured groups: every
+    key once, nothing to unquote, and no room for a further key.
+    """
+    parts = [re.escape(f"{LOG_PATH}?type={report_type}")]
+    for key in _HEADER_KEYS + keys:
+        piece = f"&{key}=([^&%+]*)"
+        parts.append(f"(?:{piece})?" if key in optional else piece)
+    return re.compile("".join(parts))
 
 
 @dataclass(frozen=True)
@@ -137,6 +159,17 @@ class ActivityReport(Report):
             reason=LeaveReason(p["why"]) if "why" in p else None,
         )
 
+    _WIRE: ClassVar[Pattern[str]] = _wire_pattern(
+        "act", "ev", "try", "pub", "why", optional=("why",))
+
+    @classmethod
+    def _from_wire(cls, t: str, node: str, user: str, sess: str, ev: str,
+                   attempt: str, pub: str,
+                   why: Optional[str]) -> "ActivityReport":
+        return cls(float(t), int(node), int(user), int(sess),
+                   ActivityEvent(ev), int(attempt), pub == "1",
+                   None if why is None else LeaveReason(why))
+
 
 @dataclass(frozen=True)
 class QoSReport(Report):
@@ -183,6 +216,17 @@ class QoSReport(Report):
             playing=p.get("play", "0") == "1",
         )
 
+    _WIRE: ClassVar[Pattern[str]] = _wire_pattern(
+        "qos", "ci", "buf", "par", "play", optional=("ci",))
+
+    @classmethod
+    def _from_wire(cls, t: str, node: str, user: str, sess: str,
+                   ci: Optional[str], buf: str, par: str,
+                   play: str) -> "QoSReport":
+        return cls(float(t), int(node), int(user), int(sess),
+                   None if ci is None else float(ci), float(buf), int(par),
+                   play == "1")
+
 
 @dataclass(frozen=True)
 class TrafficReport(Report):
@@ -219,6 +263,15 @@ class TrafficReport(Report):
             bytes_up=float(p["up"]), bytes_down=float(p["down"]),
             total_up=float(p.get("tup", "0")), total_down=float(p.get("tdown", "0")),
         )
+
+    _WIRE: ClassVar[Pattern[str]] = _wire_pattern(
+        "traf", "up", "down", "tup", "tdown")
+
+    @classmethod
+    def _from_wire(cls, t: str, node: str, user: str, sess: str, up: str,
+                   down: str, tup: str, tdown: str) -> "TrafficReport":
+        return cls(float(t), int(node), int(user), int(sess),
+                   float(up), float(down), float(tup), float(tdown))
 
 
 class PartnerOp(str, enum.Enum):
@@ -301,6 +354,16 @@ class PartnerReport(Report):
             n_outgoing=int(p.get("nout", "0")),
         )
 
+    # no ``pev``: its ``:``/``|`` separators are always percent-encoded,
+    # so a report that carries events is never in the escape-free form
+    _WIRE: ClassVar[Pattern[str]] = _wire_pattern("part", "np", "nin", "nout")
+
+    @classmethod
+    def _from_wire(cls, t: str, node: str, user: str, sess: str, n_partners: str,
+                   n_incoming: str, n_outgoing: str) -> "PartnerReport":
+        return cls(float(t), int(node), int(user), int(sess), (),
+                   int(n_partners), int(n_incoming), int(n_outgoing))
+
 
 _REGISTRY: Dict[str, Type[Report]] = {
     ActivityReport.TYPE: ActivityReport,
@@ -320,3 +383,25 @@ def parse_report(params: Dict[str, str]) -> Report:
         return cls.from_params(params)  # type: ignore[attr-defined]
     except KeyError as exc:
         raise ValueError(f"{cls.TYPE!r} report lacks field {exc}") from None
+
+
+def decode_report(log_string: str) -> Report:
+    """Decode and parse one log string.
+
+    Returns -- or raises -- exactly what
+    ``parse_report(decode_log_string(log_string))`` does; that pair is
+    the general path and the oracle the tests hold this function to.  A
+    string in the canonical form ``to_log_string`` emits (the class's
+    keys once each, in order, no escapes) skips the parameter dict: its
+    captured values go through the same ``float``/``int``/enum
+    conversions ``from_params`` applies.  Anything else -- reordered,
+    repeated, missing or extra keys, ``%``/``+`` escapes, a partner
+    report's ``pev`` list, another path -- does not match and takes the
+    general path.
+    """
+    cls = _REGISTRY.get(log_string[_TYPE_AT:log_string.find("&")])
+    if cls is not None:
+        match = cls._WIRE.fullmatch(log_string)  # type: ignore[attr-defined]
+        if match is not None:
+            return cls._from_wire(*match.groups())  # type: ignore[attr-defined]
+    return parse_report(decode_log_string(log_string))

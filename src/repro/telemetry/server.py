@@ -15,37 +15,13 @@ from __future__ import annotations
 
 import heapq
 import io
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, TextIO
 
-from repro.telemetry.logstring import decode_log_string
-from repro.telemetry.reports import Report, parse_report
-from repro.telemetry.sink import LogSink, MemorySink, default_sink
+from repro.telemetry.reports import Report, decode_report
+from repro.telemetry.sink import LogEntry, LogSink, MemorySink, default_sink
 
 __all__ = ["LogEntry", "LogServer"]
-
-
-@dataclass(frozen=True)
-class LogEntry:
-    """One line of the log file: arrival time + raw log string."""
-
-    arrival_time: float
-    log_string: str
-
-    def parse(self) -> Report:
-        """Decode and parse the stored log string into a report."""
-        return parse_report(decode_log_string(self.log_string))
-
-    def to_line(self) -> str:
-        """Render as one log-file line."""
-        return f"{self.arrival_time:.3f} {self.log_string}"
-
-    @classmethod
-    def from_line(cls, line: str) -> "LogEntry":
-        """Parse one log-file line."""
-        ts, _, rest = line.strip().partition(" ")
-        return cls(arrival_time=float(ts), log_string=rest)
 
 
 class LogServer:
@@ -69,18 +45,17 @@ class LogServer:
     # --- ingestion -------------------------------------------------------
     def receive(self, arrival_time: float, log_string: str) -> bool:
         """Store one log string; returns False (and counts) if malformed."""
-        entry = LogEntry(arrival_time, log_string)
         try:
-            entry.parse()
+            decode_report(log_string)
         except ValueError:
             self.malformed_count += 1
             return False
-        self.sink.append(entry)
+        self.sink.write(arrival_time, log_string)
         return True
 
     def receive_report(self, arrival_time: float, report: Report) -> None:
         """Convenience: encode and store a report object."""
-        self.sink.append(LogEntry(arrival_time, report.to_log_string()))
+        self.sink.write(arrival_time, report.to_log_string())
 
     def flush(self) -> None:
         """Persist buffered lines (rotates a spill sink's current tail to

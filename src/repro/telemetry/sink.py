@@ -17,9 +17,11 @@ factors the storage decision out behind a tiny protocol:
   without materialising them (the input side of out-of-core analysis).
 
 Chunks store exactly the ``LogEntry.to_line()`` text, one line per entry,
-so a spilled log dumps byte-identically to an in-memory one.  Gzip
-members are written with ``mtime=0`` so identical logs produce identical
-chunk bytes.
+so a spilled log dumps byte-identically to an in-memory one -- and a
+:class:`SpillSink` holds its unrotated tail as those same rendered lines,
+so what it reads back does not depend on whether a line has been rotated
+out yet.  Gzip members are written with ``mtime=0`` so identical logs
+produce identical chunk bytes.
 
 Spilling is opt-in per process: ``REPRO_LOG_SPILL=<dir>`` (or
 :func:`set_spill_root`) makes every subsequently created ``LogServer``
@@ -35,10 +37,14 @@ import itertools
 import json
 import os
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, List, Optional, Protocol
+from typing import Iterator, List, Optional, Protocol, Tuple
+
+from repro.telemetry.reports import Report, decode_report
 
 __all__ = [
+    "LogEntry",
     "LogSink",
     "MemorySink",
     "SpillSink",
@@ -48,9 +54,6 @@ __all__ = [
     "spill_root",
     "SPILL_ENV_VAR",
 ]
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (server imports us)
-    from repro.telemetry.server import LogEntry
 
 #: Environment variable naming the spill root directory (unset = in-memory).
 SPILL_ENV_VAR = "REPRO_LOG_SPILL"
@@ -68,16 +71,50 @@ _CHUNK_COMPRESSLEVEL = 6
 _MANIFEST_NAME = "manifest.json"
 
 
+def _split_line(line: str) -> Tuple[float, str]:
+    """One log-file line as ``(arrival_time, log_string)``."""
+    stamp, _, log_string = line.strip().partition(" ")
+    return float(stamp), log_string
+
+
+@dataclass(frozen=True)
+class LogEntry:
+    """One line of the log file: arrival time + raw log string."""
+
+    arrival_time: float
+    log_string: str
+
+    def parse(self) -> Report:
+        """Decode and parse the stored log string into a report."""
+        return decode_report(self.log_string)
+
+    def to_line(self) -> str:
+        """Render as one log-file line."""
+        return f"{self.arrival_time:.3f} {self.log_string}"
+
+    @classmethod
+    def from_line(cls, line: str) -> "LogEntry":
+        """Parse one log-file line."""
+        return cls(*_split_line(line))
+
+
 class LogSink(Protocol):
     """Storage backend for a log server's entries.
 
-    Append-only and order-preserving: ``iter_entries`` must yield exactly
-    the appended entries in append order, so analysis over a spilled log
-    is bit-identical to analysis over an in-memory one.
+    Append-only and order-preserving: ``iter_entries`` must yield the
+    stored lines in append order, so analysis over a spilled log is
+    bit-identical to analysis over an in-memory one.  A sink that keeps
+    rendered lines (:class:`SpillSink`) yields each entry as its line
+    reads: the log string exactly, the arrival time as the ``.3f`` value
+    the log file carries -- before a rotation and after it alike.
     """
 
-    def append(self, entry: "LogEntry") -> None:
-        """Store one entry."""
+    def write(self, arrival_time: float, log_string: str) -> None:
+        """Store one log string with its arrival time."""
+        ...
+
+    def append(self, entry: LogEntry) -> None:
+        """Store one entry (``write`` of its two fields)."""
         ...
 
     def __len__(self) -> int:
@@ -101,16 +138,20 @@ class MemorySink:
     """The original storage: a plain in-RAM list of entries."""
 
     def __init__(self) -> None:
-        self._entries: List["LogEntry"] = []
+        self._entries: List[LogEntry] = []
 
-    def append(self, entry: "LogEntry") -> None:
+    def write(self, arrival_time: float, log_string: str) -> None:
+        """Store one log string with its arrival time."""
+        self._entries.append(LogEntry(arrival_time, log_string))
+
+    def append(self, entry: LogEntry) -> None:
         """Store one entry."""
         self._entries.append(entry)
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def iter_entries(self) -> Iterator["LogEntry"]:
+    def iter_entries(self) -> Iterator[LogEntry]:
         """Stream the stored entries in append order."""
         return iter(self._entries)
 
@@ -119,9 +160,9 @@ class MemorySink:
 
     def close(self) -> None:
         """No buffered state; a closed memory sink just refuses appends."""
-        self.append = self._append_closed  # type: ignore[method-assign]
+        self.write = self.append = self._refuse  # type: ignore[method-assign]
 
-    def _append_closed(self, entry: "LogEntry") -> None:
+    def _refuse(self, *_line) -> None:
         raise ValueError("sink is closed")
 
 
@@ -140,11 +181,12 @@ def _fsync_dir(path: Path) -> None:
 class SpillSink:
     """Chunked on-disk log store with bounded resident memory.
 
-    Entries accumulate in an in-memory tail; every ``lines_per_chunk``
-    appends the tail is rotated out as one (gzip) chunk file and recorded
-    in the directory's ``manifest.json``.  Both the chunk file and the
-    manifest are fsync'd per rotation, so the durability unit is the
-    chunk: a crash loses at most the unrotated tail.
+    Lines accumulate, already rendered, in an in-memory tail; every
+    ``lines_per_chunk`` appends the tail is rotated out as one (gzip)
+    chunk file and recorded in the directory's ``manifest.json``.  Both
+    the chunk file and the manifest are fsync'd per rotation, so the
+    durability unit is the chunk: a crash loses at most the unrotated
+    tail.
 
     ``iter_entries`` streams rotated chunks from disk and then the live
     tail, preserving exact append order.
@@ -163,20 +205,25 @@ class SpillSink:
             )
         self.lines_per_chunk = int(lines_per_chunk)
         self.compress = bool(compress)
-        self._tail: List["LogEntry"] = []
+        self._tail: List[str] = []  # "<arrival:.3f> <log_string>\n" each
         self._chunks: List[dict] = []
         self._count = 0
         self._closed = False
 
     # --- ingestion ---------------------------------------------------------
-    def append(self, entry: "LogEntry") -> None:
-        """Store one entry, rotating a chunk out when the tail fills."""
+    def write(self, arrival_time: float, log_string: str) -> None:
+        """Store one line, rotating a chunk out when the tail fills."""
         if self._closed:
             raise ValueError("sink is closed")
-        self._tail.append(entry)
+        # == LogEntry(arrival_time, log_string).to_line() + "\n"
+        self._tail.append(f"{arrival_time:.3f} {log_string}\n")
         self._count += 1
         if len(self._tail) >= self.lines_per_chunk:
             self._rotate()
+
+    def append(self, entry: LogEntry) -> None:
+        """Store one entry (``write`` of its two fields)."""
+        self.write(entry.arrival_time, entry.log_string)
 
     def _rotate(self) -> None:
         """Write the tail as one chunk file and record it in the manifest."""
@@ -185,8 +232,7 @@ class SpillSink:
         suffix = ".log.gz" if self.compress else ".log"
         name = f"chunk-{len(self._chunks):06d}{suffix}"
         path = self.directory / name
-        text = "".join(e.to_line() + "\n" for e in self._tail)
-        raw = text.encode("utf-8")
+        raw = "".join(self._tail).encode("utf-8")
         if self.compress:
             # mtime=0 keeps chunk bytes a pure function of their contents
             with open(path, "wb") as fh:
@@ -238,27 +284,24 @@ class SpillSink:
     def __len__(self) -> int:
         return self._count
 
-    def iter_entries(self) -> Iterator["LogEntry"]:
+    def iter_entries(self) -> Iterator[LogEntry]:
         """Stream rotated chunks from disk, then the in-memory tail."""
-        for chunk in list(self._chunks):
-            yield from _read_chunk(self.directory / chunk["file"],
-                                   chunk["lines"])
-        # snapshot: appends during iteration must not shift the view
-        for entry in list(self._tail):
-            yield entry
+        # snapshots: appends during iteration must not shift the view
+        yield from itertools.starmap(
+            LogEntry, _read_chunks(self.directory, list(self._chunks)))
+        yield from map(LogEntry.from_line, list(self._tail))
 
 
-def _read_chunk(path: Path, lines: int) -> Iterator["LogEntry"]:
-    """Stream the entries of one chunk file (gzip or plain).
+def _read_chunk(path: Path, lines: int) -> Iterator[Tuple[float, str]]:
+    """Stream one chunk file (gzip or plain) line by line, as
+    ``(arrival_time, log_string)`` pairs; blank lines are skipped.
 
     A manifest-listed chunk that is missing, truncated or corrupt -- or
-    holds another number of lines than the manifest recorded for it --
-    raises ``ValueError`` naming the file: analysing the part of a log
-    that happens to be readable would silently change every figure.
+    holds another number of lines than the manifest recorded for it, or
+    a line without a numeric arrival stamp -- raises ``ValueError``
+    naming the file: analysing the part of a log that happens to be
+    readable would silently change every figure.
     """
-    from repro.telemetry.server import LogEntry
-
-    from_line = LogEntry.from_line
     opener = gzip.open if path.suffix == ".gz" else open
     seen = 0
     try:
@@ -266,13 +309,19 @@ def _read_chunk(path: Path, lines: int) -> Iterator["LogEntry"]:
             for line in fh:
                 if not line.isspace():
                     seen += 1
-                    yield from_line(line)
+                    yield _split_line(line)
     except (OSError, EOFError, zlib.error, ValueError) as exc:
         raise ValueError(f"spill chunk {path} is unreadable: {exc!r}") from exc
     if seen != lines:
         raise ValueError(
             f"spill chunk {path} holds {seen} lines, manifest says {lines}"
         )
+
+
+def _read_chunks(directory: Path, chunks) -> Iterator[Tuple[float, str]]:
+    """The lines of manifest-listed ``chunks``, one file after another."""
+    for chunk in chunks:
+        yield from _read_chunk(directory / chunk["file"], chunk["lines"])
 
 
 class LogReader:
@@ -298,16 +347,19 @@ class LogReader:
     def __len__(self) -> int:
         return int(self.manifest.get("total_lines", 0))
 
-    def iter_entries(self) -> Iterator["LogEntry"]:
-        """Stream every entry of every manifest-listed chunk, in order."""
-        for chunk in self.manifest.get("chunks", ()):
-            yield from _read_chunk(self.directory / chunk["file"],
-                                   chunk["lines"])
+    def _lines(self) -> Iterator[Tuple[float, str]]:
+        return _read_chunks(self.directory, self.manifest.get("chunks", ()))
 
-    def reports(self) -> Iterator[object]:
-        """Parsed reports, in arrival (append) order."""
-        for entry in self.iter_entries():
-            yield entry.parse()
+    def iter_entries(self) -> Iterator[LogEntry]:
+        """Stream every entry of every manifest-listed chunk, in order."""
+        return itertools.starmap(LogEntry, self._lines())
+
+    def reports(self) -> Iterator[Report]:
+        """Parsed reports, in arrival (append) order: each stored line
+        straight to its report (what ``entry.parse()`` over
+        :meth:`iter_entries` gives, without an entry per line)."""
+        for _arrival_time, log_string in self._lines():
+            yield decode_report(log_string)
 
 
 # ---------------------------------------------------------------------------

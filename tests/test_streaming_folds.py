@@ -31,13 +31,14 @@ from repro.analysis.streaming import (
 )
 from repro.runtime import run_scenario
 from repro.telemetry.reports import (
+    ActivityEvent,
     ActivityReport,
     PartnerReport,
     QoSReport,
     TrafficReport,
 )
 from repro.telemetry.server import LogServer
-from repro.telemetry.sink import SpillSink
+from repro.telemetry.sink import LogReader, SpillSink
 from repro.workload.scenarios import steady_audience
 
 
@@ -211,6 +212,132 @@ class TestDispatchEqualsShowingEveryReport:
         (samples, totals) = fold_log(
             [report], ContinuitySamplesFold(), UploadTotalsFold())
         assert samples == [(1.0, 1, 0.5)] and totals == {}
+
+
+def _seven_folds():
+    """The benchmark's fold set: the session table and both of its views."""
+    return {
+        "session_table": SessionTableFold(),
+        "classify_users": ClassifyUsersFold(),
+        "upload_totals": UploadTotalsFold(),
+        "continuity_samples": ContinuitySamplesFold(),
+        "partner_events": PartnerEventsFold(),
+        "concurrent_users": ConcurrentUsersFold(t1=400.0, step_s=30.0),
+        "join_funnel": JoinFunnelFold(),
+    }
+
+
+def _fold_alone(source, name):
+    (result,) = fold_log(source, _seven_folds()[name])
+    return _comparable(result)
+
+
+@pytest.fixture(scope="module", params=["detailed", "fast", "ode"])
+def engine_log(request, mem_log):
+    """The churny scenario's log from each engine that writes one
+    in-process (``mem_log`` is the detailed engine's)."""
+    if request.param == "detailed":
+        return mem_log
+    scenario = steady_audience(rate_per_s=0.3, horizon_s=400.0, n_servers=2)
+    return run_scenario(scenario, seed=3, engine=request.param).log
+
+
+class TestSharedSessionTable:
+    """In one pass ``ConcurrentUsersFold`` and ``JoinFunnelFold`` read the
+    ``SessionTableFold``'s table instead of each rebuilding it; no result
+    may move, and a fold driven by hand is still its own fold."""
+
+    def test_together_equals_alone_equals_spilled(self, engine_log, tmp_path):
+        assert len(engine_log) > 200
+        folds = _seven_folds()
+        together = {name: _comparable(result) for name, result in zip(
+            folds, fold_log(engine_log, *folds.values()))}
+        assert together["session_table"][0], "no sessions reconstructed"
+        assert together == {name: _fold_alone(engine_log, name)
+                            for name in folds}
+
+        spilled = LogServer.loads(
+            engine_log.dumps(),
+            sink=SpillSink(tmp_path / "log", lines_per_chunk=97))
+        spilled.flush()
+        reader = LogReader(tmp_path / "log")
+        assert len(reader) == len(engine_log)
+        folds = _seven_folds()
+        assert together == {name: _comparable(result) for name, result in zip(
+            folds, fold_log(reader, *folds.values()))}
+        # the views before the table, and without a table at all
+        names = ["join_funnel", "concurrent_users", "session_table"]
+        for chosen in (names, names[:2], names[1:]):
+            folds = _seven_folds()
+            results = fold_log(reader, *(folds[name] for name in chosen))
+            assert [_comparable(r) for r in results] == \
+                   [together[name] for name in chosen]
+
+    def test_each_activity_report_reaches_one_table(self, mem_log,
+                                                    monkeypatch):
+        calls = []
+        update = SessionTableFold.update
+
+        def counting(self, report):
+            calls.append(report)
+            update(self, report)
+
+        monkeypatch.setattr(SessionTableFold, "update", counting)
+        fold_log(mem_log, *_seven_folds().values())
+        activity = [r for r in mem_log.reports()
+                    if isinstance(r, ActivityReport)]
+        assert calls == activity
+        del calls[:]
+        fold_log(mem_log, ConcurrentUsersFold(), JoinFunnelFold())
+        assert calls == activity
+
+    def test_views_driven_by_hand(self, mem_log):
+        by_hand = [ConcurrentUsersFold(t1=400.0, step_s=30.0),
+                   JoinFunnelFold()]
+        for report in mem_log.reports():
+            for fold in by_hand:
+                fold.update(report)
+        assert [_comparable(f.result()) for f in by_hand] == [
+            _fold_alone(mem_log, "concurrent_users"),
+            _fold_alone(mem_log, "join_funnel")]
+
+    def test_a_fold_fed_by_hand_keeps_what_it_saw(self, mem_log):
+        reports = list(mem_log.reports())
+        first, second = reports[:len(reports) // 2], reports[len(reports) // 2:]
+        assert any(isinstance(r, ActivityReport) for r in first)
+        view = ConcurrentUsersFold(t1=400.0, step_s=30.0)
+        for report in first:
+            view.update(report)
+        # beside a fresh table in one pass: the table sees the second half
+        # only, the view both halves, and the untouched funnel the second
+        table, curve, funnel = fold_log(
+            second, SessionTableFold(), view, JoinFunnelFold())
+        assert _comparable(curve) == _fold_alone(reports, "concurrent_users")
+        assert _comparable(table) == _fold_alone(second, "session_table")
+        assert funnel == _fold_alone(second, "join_funnel")
+        # and a table fed by hand is not lent to a fresh view
+        fed = SessionTableFold()
+        for report in first:
+            fed.update(report)
+        table, funnel = fold_log(second, fed, JoinFunnelFold())
+        assert _comparable(table) == _fold_alone(reports, "session_table")
+        assert funnel == _fold_alone(second, "join_funnel")
+
+    def test_a_subclassed_table_is_not_shared(self, mem_log):
+        class JoinsOnly(SessionTableFold):
+            def update(self, report):
+                if getattr(report, "event", None) is ActivityEvent.JOIN:
+                    super().update(report)
+
+        table, funnel = fold_log(mem_log, JoinsOnly(), JoinFunnelFold())
+        assert all(s.leave_time is None for s in table.sessions())
+        assert funnel == _fold_alone(mem_log, "join_funnel")
+
+    def test_the_same_fold_listed_twice_is_fed_twice(self, mem_log):
+        # as before: fold_log feeds its arguments, it does not deduplicate
+        samples = ContinuitySamplesFold()
+        once = _fold_alone(mem_log, "continuity_samples")
+        assert len(fold_log(mem_log, samples, samples)[0]) == 2 * len(once)
 
 
 class TestFigurePayloadsUnderSpill:

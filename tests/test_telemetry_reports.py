@@ -16,9 +16,11 @@ from repro.telemetry.reports import (
     PartnerReport,
     QoSReport,
     TrafficReport,
+    decode_report,
     parse_report,
 )
-from repro.telemetry.server import LogEntry
+from repro.telemetry.server import LogEntry, LogServer
+from repro.telemetry.sink import MemorySink
 
 
 def roundtrip(report):
@@ -214,3 +216,190 @@ class TestFastWireEncoding:
                            session_id=user + 1, event=event, attempt=attempt,
                            address_public=pub, reason=reason)
         assert r.to_log_string() == encode_log_string(r.to_params())
+
+
+def _general(log_string):
+    """The general decode path, and the oracle for ``decode_report``."""
+    return parse_report(decode_log_string(log_string))
+
+
+def _outcome(decode, log_string):
+    """What ``decode`` makes of a string: the report (by type and repr,
+    so ``nan`` fields compare equal) or ``ValueError``; anything else
+    propagates and fails the test."""
+    try:
+        report = decode(log_string)
+    except ValueError:
+        return ValueError
+    return type(report), repr(report)
+
+
+_INTS = st.integers(-10**12, 10**18)
+_FLOATS = (st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from([0.0, 1.0, -0.0, 1e300, -1e300, 5e-4]))
+_HEADER = dict(time=_FLOATS, node_id=_INTS, user_id=_INTS, session_id=_INTS)
+_PARTNER_EVENTS = st.lists(
+    st.builds(PartnerEvent, time=st.floats(-1e9, 1e9),
+              op=st.sampled_from(list(PartnerOp)), partner_id=_INTS,
+              incoming=st.booleans()),
+    max_size=4).map(tuple)
+_REPORTS = st.one_of(
+    st.builds(ActivityReport, **_HEADER,
+              event=st.sampled_from(list(ActivityEvent)), attempt=_INTS,
+              address_public=st.booleans(),
+              reason=st.none() | st.sampled_from(list(LeaveReason))),
+    st.builds(QoSReport, **_HEADER,
+              continuity=st.none() | st.sampled_from([0.0, 1.0]) | _FLOATS,
+              buffered_seconds=_FLOATS, n_parents=_INTS,
+              playing=st.booleans()),
+    st.builds(TrafficReport, **_HEADER, bytes_up=_FLOATS, bytes_down=_FLOATS,
+              total_up=_FLOATS, total_down=_FLOATS),
+    st.builds(PartnerReport, **_HEADER, events=_PARTNER_EVENTS,
+              n_partners=_INTS, n_incoming=_INTS, n_outgoing=_INTS),
+)
+
+_STRAY_PIECES = ["x=1", "why=normal", "why=", "ci=0.5", "ci=", "pev=", "pev=1",
+                 "type=qos", "type=", "t=7", "=", "=1", "", "try", "play=1"]
+_JUNK_VALUES = st.text(alphabet="0123456789.-+enaif =?:|%x_", max_size=6)
+
+
+@st.composite
+def _adversarial(draw):
+    """An emitted log string with one thing wrong with it (or, for a few
+    mutations, merely unusual about it)."""
+    wire = draw(_REPORTS).to_log_string()
+    path, _, query = wire.partition("?")
+    pieces = query.split("&")
+    at = draw(st.integers(0, len(pieces) - 1))
+    name, _, value = pieces[at].partition("=")
+    mutation = draw(st.sampled_from([
+        "reorder", "duplicate", "duplicate_other_value", "blank_value",
+        "bare_name", "stray_piece", "missing_key", "wrong_path",
+        "no_question_mark", "empty_query", "escaped_value", "plus_in_value",
+        "junk_value", "trailing_separator"]))
+    if mutation == "reorder":
+        pieces = list(draw(st.permutations(pieces)))
+    elif mutation == "duplicate":
+        pieces.insert(draw(st.integers(0, len(pieces))), pieces[at])
+    elif mutation == "duplicate_other_value":
+        pieces.insert(draw(st.integers(0, len(pieces))),
+                      f"{name}={draw(_JUNK_VALUES)}")
+    elif mutation == "blank_value":
+        pieces[at] = f"{name}="
+    elif mutation == "bare_name":
+        pieces[at] = name
+    elif mutation == "stray_piece":
+        pieces.insert(draw(st.integers(0, len(pieces))),
+                      draw(st.sampled_from(_STRAY_PIECES)))
+    elif mutation == "missing_key":
+        del pieces[at]
+    elif mutation == "wrong_path":
+        path = draw(st.sampled_from(["/lag", "", "/log/", "log", "/LOG", "?"]))
+    elif mutation == "empty_query":
+        pieces = []
+    elif mutation == "escaped_value":
+        pieces[at] = name + "=" + "".join(f"%{ord(c):02X}" for c in value)
+    elif mutation == "plus_in_value":
+        pieces[at] = f"{name}={value}+"
+    elif mutation == "junk_value":
+        pieces[at] = f"{name}={draw(_JUNK_VALUES)}"
+    elif mutation == "trailing_separator":
+        pieces.append("")
+    if mutation == "no_question_mark":
+        return path + "&".join(pieces)
+    return f"{path}?{'&'.join(pieces)}"
+
+
+class TestPositionalDecoder:
+    """``decode_report`` reads a canonical line's values by position; it
+    must return -- or raise -- what the general path does, for every
+    string, and the general path must remain where everything else goes."""
+
+    @given(report=_REPORTS)
+    @settings(max_examples=400, deadline=None)
+    def test_emitted_reports_decode_as_the_general_path_does(self, report):
+        wire = report.to_log_string()
+        assert _outcome(decode_report, wire) == _outcome(_general, wire)
+        assert type(LogEntry(0.0, wire).parse()) is type(report)
+
+    @given(log_string=_adversarial())
+    @settings(max_examples=1500, deadline=None)
+    def test_adversarial_strings_decode_as_the_general_path_does(
+            self, log_string):
+        expected = _outcome(_general, log_string)
+        assert _outcome(decode_report, log_string) == expected
+        # ... and the door counts exactly what the general path rejects
+        server = LogServer(sink=MemorySink())
+        assert server.receive(0.0, log_string) == (expected is not ValueError)
+        assert server.malformed_count == (expected is ValueError)
+        assert len(server) == (expected is not ValueError)
+
+    @given(log_string=st.text(alphabet="/log?type=qsacrfp&%+10.:|\n ",
+                              max_size=60))
+    @settings(max_examples=500, deadline=None)
+    def test_arbitrary_text_decodes_as_the_general_path_does(self, log_string):
+        assert _outcome(decode_report, log_string) == \
+               _outcome(_general, log_string)
+
+    @pytest.mark.parametrize("log_string", [
+        "", "/log", "/log?", "/log?type=qos", "/log?type=qos&",
+        "/log?type=act&t=1.000&node=1&user=1&sess=1&ev=join&try=1&pub=1&why=",
+        "/log?type=act&t=1.000&node=1&user=1&sess=1&ev=join&try=1&pub=",
+        "/log?type=act&t=1.000&node=1&user=1&sess=1&ev=join&try=&pub=1",
+        "/log?type=qos&t=1.000&node=1&user=1&sess=1&ci=&buf=0&par=0&play=1",
+        "/log?type=qos&t=1.000&node=1&user=1&sess=1&buf=&par=0&play=1",
+        "/log?type=qos&t=1=2&node=1&user=1&sess=1&buf=1&par=0&play=1",
+        "/log?type=qos&t=1.000&node=1&user=1&sess=1&buf=1&par=0&play=1\n",
+        "/log?type=traf&t=nan&node=1&user=1&sess=1&up=inf&down=-inf"
+        "&tup=1e999&tdown=-0",
+        "/log?type=part&t=1.000&node= 1 &user=1_0&sess=+1&np=1&nin=1&nout=1",
+        "/log?type=part&t=1.000&node=1&user=1&sess=1&np=1&nin=1&nout=1&pev=",
+        "/log?type=part&t=1.000&node=1&user=1&sess=1&np=1&nin=1&nout=1"
+        "&pev=1.0%3Aa%3A2%3Ai%7C2.0%3Ad%3A2",
+        "/log?type=alien&t=1", "/log?t=1&type=qos", "/lag?type=qos&t=1",
+    ])
+    def test_edge_strings(self, log_string):
+        assert _outcome(decode_report, log_string) == \
+               _outcome(_general, log_string)
+
+    @pytest.mark.parametrize(
+        "report", TestFastWireEncoding.REPORTS, ids=lambda r: type(r).__name__)
+    def test_only_canonical_lines_skip_the_parameter_dict(self, report,
+                                                          monkeypatch):
+        from repro.telemetry import reports as reports_mod
+
+        wire = report.to_log_string()
+        expected = _general(wire)
+
+        def general_path_taken(_log_string):
+            raise AssertionError("general path")
+
+        monkeypatch.setattr(reports_mod, "decode_log_string",
+                            general_path_taken)
+        if getattr(report, "events", ()):
+            # escaped ``pev`` separators: never the positional form
+            with pytest.raises(AssertionError, match="general path"):
+                decode_report(wire)
+        else:
+            assert decode_report(wire) == expected
+            query = wire.partition("?")[2].split("&")
+            for other in ("/log?" + "&".join(reversed(query)),
+                          wire + "&x=1", wire + "&" + query[-1],
+                          wire.replace("&node=", "&node=%31")):
+                with pytest.raises(AssertionError, match="general path"):
+                    decode_report(other)
+
+    def test_entries_do_not_cache_their_report(self):
+        # the .3f/.5f wire rounding is part of the measurement: parse()
+        # must decode the stored string each time, never hand back the
+        # report the line was emitted from
+        sent = QoSReport(time=1.23456, node_id=1, user_id=1, session_id=1,
+                         continuity=0.123456789)
+        server = LogServer(sink=MemorySink())
+        server.receive_report(1.23456, sent)
+        (entry,) = server.entries()
+        assert entry.parse() == QoSReport(
+            time=1.235, node_id=1, user_id=1, session_id=1, continuity=0.12346)
+        assert entry.parse() is not entry.parse()
+        assert not hasattr(entry, "__dict__") or set(vars(entry)) == {
+            "arrival_time", "log_string"}

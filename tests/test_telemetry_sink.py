@@ -97,6 +97,49 @@ class TestSpillSink:
         _fill(server, 12)  # everything still in the tail
         assert len(list(server.iter_entries())) == 12
 
+    def test_reads_back_the_same_before_and_after_rotation(self, tmp_path):
+        # regression: the tail used to hold the LogEntry as received, so an
+        # arrival time of 1.23456 read back as 1.23456 until the rotation
+        # and as the stored 1.235 from then on
+        line = QoSReport(time=1.2, node_id=1, user_id=2, session_id=3,
+                         continuity=0.5).to_log_string()
+        server = LogServer(sink=SpillSink(tmp_path / "log",
+                                          lines_per_chunk=100))
+        assert server.receive(1.23456, line)
+        server.receive_report(2.00049, ActivityReport(
+            time=2.0, node_id=1, user_id=2, session_id=3))
+        in_tail = list(server.iter_entries())
+        assert in_tail == [LogEntry(1.235, line),
+                           LogEntry(2.0, in_tail[1].log_string)]
+        assert [e.parse().time for e in in_tail] == [1.2, 2.0]
+        text = server.dumps()
+        server.flush()
+        assert list(server.iter_entries()) == in_tail
+        assert server.entries() == in_tail
+        assert list(LogReader(tmp_path / "log").iter_entries()) == in_tail
+        assert server.dumps() == text
+
+    def test_write_is_append_of_the_two_fields(self, tmp_path):
+        by_write = SpillSink(tmp_path / "w", lines_per_chunk=3)
+        by_append = SpillSink(tmp_path / "a", lines_per_chunk=3)
+        memory = MemorySink()
+        for i in range(7):
+            entry = LogEntry(i / 3.0, f"/log?type=part&t={i}.000&node=1"
+                                      f"&user=1&sess=1&np=0&nin=0&nout=0")
+            by_write.write(entry.arrival_time, entry.log_string)
+            by_append.append(entry)
+            memory.write(entry.arrival_time, entry.log_string)
+        assert len(by_write) == len(by_append) == len(memory) == 7
+        assert list(by_write.iter_entries()) == list(by_append.iter_entries())
+        # an in-memory log keeps the arrival time it was given; both dump
+        # the same file
+        assert [e.to_line() for e in memory.iter_entries()] == \
+               [e.to_line() for e in by_write.iter_entries()]
+        for sink in (by_write, memory):
+            sink.close()
+            with pytest.raises(ValueError, match="closed"):
+                sink.write(0.0, "x")
+
     def test_chunk_bytes_deterministic(self, tmp_path):
         for name in ("a", "b"):
             server = LogServer(sink=SpillSink(tmp_path / name,
