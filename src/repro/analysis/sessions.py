@@ -25,7 +25,7 @@ from repro.telemetry.server import LogServer
 __all__ = ["Session", "SessionTable"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Session:
     """One reconstructed session (all times are *report* times)."""
 

@@ -8,6 +8,11 @@ tree with a few random links.  Our simulator can take exact snapshots, so
 this module both reproduces the conjectured statistics and verifies the
 convergence claim (the fraction of stable contributor-parented peers grows
 over time).
+
+networkx is imported where a graph is built or walked, not at module
+level: this is the only module that uses it, and ``repro.analysis`` is
+imported by every engine and every fold (DESIGN.md, "What a process pays
+before its first event").
 """
 
 from __future__ import annotations
@@ -15,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict
 
-import networkx as nx
-
 from repro.network.connectivity import ConnectivityClass
 
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from repro.core.system import CoolstreamingSystem
 
 __all__ = ["OverlaySnapshot", "snapshot_overlay"]
@@ -85,6 +90,8 @@ class OverlaySnapshot:
         Unreachable peers (no parent chain to the source at this instant)
         are reported at depth -1.
         """
+        import networkx as nx
+
         lengths = nx.single_source_shortest_path_length(self.graph, self.source_id)
         out: Dict[int, int] = {}
         for node, cls in self.classes.items():
@@ -120,6 +127,8 @@ class OverlaySnapshot:
 
 def snapshot_overlay(system: "CoolstreamingSystem") -> OverlaySnapshot:
     """Capture the current parent-child overlay of a running system."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     classes: Dict[int, ConnectivityClass] = {}
     from repro.core.source import SOURCE_ID

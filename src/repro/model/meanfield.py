@@ -234,7 +234,11 @@ class MeanFieldBackend:
         n = int(self._times.size)
         m = min(n, self.ode.max_logged_users)
         if n:
-            pick = np.unique(np.linspace(0, n - 1, m).astype(np.int64))
+            # evenly spaced and nondecreasing, so dropping repeats of the
+            # previous index is np.unique -- without the numpy.ma import
+            # np.unique makes on first call, which would land inside run()
+            idx = np.linspace(0, n - 1, m).astype(np.int64)
+            pick = idx[np.r_[True, idx[1:] != idx[:-1]]]
         else:
             pick = np.zeros(0, dtype=np.int64)
         m = int(pick.size)

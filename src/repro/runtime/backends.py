@@ -28,17 +28,27 @@ realizations for the same (scenario, seed).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+    runtime_checkable,
+)
 
 import numpy as np
 
 from repro.analysis.sessions import SessionTable
 from repro.core.node import NodeState
 from repro.core.system import CoolstreamingSystem
-from repro.fastsim import FastSimConfig, FastSimulation
 from repro.telemetry.server import LogServer
 from repro.workload.sessions import ProgramSchedule
 from repro.workload.users import UserPopulation
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.fastsim import FastSimConfig
 
 __all__ = [
     "StreamingBackend",
@@ -201,6 +211,10 @@ class FluidBackend:
         fast: Optional[FastSimConfig] = None,
         capacity_hint: Optional[int] = None,
     ) -> None:
+        # imported where it is constructed, so a detailed or net run never
+        # loads the fluid engine (DESIGN.md, "What a process pays ...")
+        from repro.fastsim import FastSimulation
+
         self.scenario = scenario
         self.seed = int(seed)
         self.sim = FastSimulation(

@@ -25,11 +25,10 @@ audience -- which is exactly what the parity harness
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
-from repro.fastsim import FastSimConfig
 from repro.runtime.backends import (
     FluidBackend,
     StreamingBackend,
@@ -37,6 +36,9 @@ from repro.runtime.backends import (
 )
 from repro.sim.rng import RngHub
 from repro.telemetry.server import LogServer
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.fastsim import FastSimConfig
 
 __all__ = [
     "WorkloadRealization",

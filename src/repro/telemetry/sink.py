@@ -77,7 +77,7 @@ def _split_line(line: str) -> Tuple[float, str]:
     return float(stamp), log_string
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     """One line of the log file: arrival time + raw log string."""
 
