@@ -49,11 +49,17 @@ def expected_user_type(cls: ConnectivityClass) -> UserType:
     }[cls]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Observed:
     address_public: Optional[bool] = None
     incoming: int = 0
     outgoing: int = 0
+
+    def __reduce__(self):
+        # a worker folding a range of a split log pickles one per node; as
+        # constructor arguments that is half the bytes and a third of the
+        # time of the slot-state default (25k nodes: 45 -> 14 ms to dump)
+        return (_Observed, (self.address_public, self.incoming, self.outgoing))
 
 
 def classify_users(log: LogServer) -> Dict[int, UserType]:

@@ -36,6 +36,7 @@ import gzip
 import itertools
 import json
 import os
+import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -324,11 +325,53 @@ def _read_chunks(directory: Path, chunks) -> Iterator[Tuple[float, str]]:
         yield from _read_chunk(directory / chunk["file"], chunk["lines"])
 
 
+#: What :class:`SpillSink` names its chunks: a bare file name, so a
+#: manifest entry can never point outside its directory.
+_CHUNK_NAME = re.compile(r"chunk-\d{6,}\.log(?:\.gz)?")
+
+
+def _is_count(value) -> bool:
+    """A JSON line count: a non-negative int (``true`` is not one)."""
+    return type(value) is int and value >= 0
+
+
+def _manifest_chunks(path: Path, manifest) -> List[Tuple[str, int]]:
+    """The ``(file, lines)`` chunk list of a loaded manifest, after
+    checking what :class:`LogReader` relies on: every ``file`` is a bare
+    chunk name, every ``lines`` a non-negative int, and ``total_lines``
+    their sum.  Anything else raises ``ValueError`` naming ``path``."""
+    def invalid(why: str) -> ValueError:
+        return ValueError(f"{path} is not a valid repro log-spill manifest: {why}")
+
+    if not isinstance(manifest, dict) or manifest.get("format") != "repro-log-spill-v1":
+        raise ValueError(f"{path} is not a repro log-spill manifest")
+    listed = manifest.get("chunks")
+    if not isinstance(listed, list):
+        raise invalid("'chunks' is not a list")
+    chunks = []
+    for chunk in listed:
+        name, lines = (chunk.get("file"), chunk.get("lines")) \
+            if isinstance(chunk, dict) else (None, None)
+        if not (isinstance(name, str) and _CHUNK_NAME.fullmatch(name)):
+            raise invalid(f"chunk file {name!r} is not a bare "
+                          f"chunk-NNNNNN.log[.gz] name")
+        if not _is_count(lines):
+            raise invalid(f"chunk {name} has line count {lines!r}")
+        chunks.append((name, lines))
+    total = manifest.get("total_lines")
+    if not _is_count(total) or total != sum(lines for _name, lines in chunks):
+        raise invalid(f"total_lines {total!r} is not the sum of the chunks' "
+                      f"line counts")
+    return chunks
+
+
 class LogReader:
     """Read-only streaming view of a completed spill directory.
 
     Presents the same ``iter_entries`` / ``reports`` face as a live sink
     so analysis folds can consume either without materialising the log.
+    The manifest is checked when the reader opens (see
+    :func:`_manifest_chunks`): a split fold trusts its line counts.
     """
 
     def __init__(self, directory) -> None:
@@ -339,26 +382,50 @@ class LogReader:
                 self.manifest = json.load(fh)
         except OSError as exc:
             raise ValueError(f"no spilled log at {self.directory}: {exc}") from exc
-        if self.manifest.get("format") != "repro-log-spill-v1":
-            raise ValueError(
-                f"{manifest} is not a repro log-spill manifest"
-            )
+        # (path, index of its first line, lines) per chunk
+        self._chunks: List[Tuple[Path, int, int]] = []
+        self._total = 0
+        for name, lines in _manifest_chunks(manifest, self.manifest):
+            self._chunks.append((self.directory / name, self._total, lines))
+            self._total += lines
 
     def __len__(self) -> int:
-        return int(self.manifest.get("total_lines", 0))
+        return self._total
 
-    def _lines(self) -> Iterator[Tuple[float, str]]:
-        return _read_chunks(self.directory, self.manifest.get("chunks", ()))
+    def _lines(self, start: int, stop: int) -> Iterator[Tuple[float, str]]:
+        """Lines ``[start, stop)`` of the log, opening only the chunks that
+        hold them.  In the first, the lines before ``start`` are read and
+        split, not yielded.  A chunk's line count is checked at its end, so
+        it is read to the end by the range holding its last line -- a chunk
+        without lines by the range holding the line before it, or starting
+        at 0 -- and left at ``stop`` by any other."""
+        if not 0 <= start <= stop <= self._total:
+            raise ValueError(f"line range [{start}, {stop}) is not within "
+                             f"the {self._total} lines of {self.directory}")
+        for path, first, lines in self._chunks:
+            end = first + lines
+            if start < end <= stop or end == start == 0:
+                take = None
+            elif first < stop < end and start < stop:
+                take = stop - first
+            else:
+                continue
+            yield from itertools.islice(_read_chunk(path, lines),
+                                        max(start - first, 0), take)
 
     def iter_entries(self) -> Iterator[LogEntry]:
         """Stream every entry of every manifest-listed chunk, in order."""
-        return itertools.starmap(LogEntry, self._lines())
+        return itertools.starmap(LogEntry, self._lines(0, self._total))
 
-    def reports(self) -> Iterator[Report]:
-        """Parsed reports, in arrival (append) order: each stored line
-        straight to its report (what ``entry.parse()`` over
-        :meth:`iter_entries` gives, without an entry per line)."""
-        for _arrival_time, log_string in self._lines():
+    def reports(self, start: int = 0, stop: Optional[int] = None
+                ) -> Iterator[Report]:
+        """Parsed reports of lines ``[start, stop)`` (default: every line),
+        in arrival (append) order: each stored line straight to its report
+        (what ``entry.parse()`` over :meth:`iter_entries` gives, without an
+        entry per line).  Consecutive ranges read exactly what one pass
+        over their union reads, checks included."""
+        lines = self._lines(start, self._total if stop is None else stop)
+        for _arrival_time, log_string in lines:
             yield decode_report(log_string)
 
 

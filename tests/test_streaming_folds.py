@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.classification import classify_users
 from repro.analysis.continuity import (
@@ -33,6 +35,9 @@ from repro.runtime import run_scenario
 from repro.telemetry.reports import (
     ActivityEvent,
     ActivityReport,
+    LeaveReason,
+    PartnerEvent,
+    PartnerOp,
     PartnerReport,
     QoSReport,
     TrafficReport,
@@ -368,6 +373,137 @@ class TestFigurePayloadsUnderSpill:
             sink_mod.set_spill_root(None)
         assert spilled.render() == ref.render()
         assert any(root.iterdir()), "spill root was configured but unused"
+
+
+_times = st.sampled_from([0.0, 1.0, 2.0, 2.5])  # few values: ties everywhere
+_ids = st.integers(min_value=0, max_value=4)
+
+
+def _activity():
+    return st.builds(
+        ActivityReport, time=_times, node_id=_ids, user_id=_ids,
+        session_id=_ids, event=st.sampled_from(list(ActivityEvent)),
+        attempt=st.integers(1, 3), address_public=st.booleans(),
+        reason=st.none() | st.sampled_from(list(LeaveReason)))
+
+
+def _qos():
+    return st.builds(
+        QoSReport, time=_times, node_id=_ids, user_id=_ids, session_id=_ids,
+        continuity=st.none() | st.sampled_from([float("nan"), 0.0, 0.5, 1.0]),
+        playing=st.booleans())
+
+
+def _traffic():
+    return st.builds(
+        TrafficReport, time=_times, node_id=_ids, user_id=_ids,
+        session_id=_ids,
+        total_up=st.sampled_from([-0.0, 0.0, -3.0, 7.0, 9.0, float("nan")]))
+
+
+def _partner():
+    event = st.builds(PartnerEvent, time=_times,
+                      op=st.sampled_from(list(PartnerOp)),
+                      partner_id=_ids, incoming=st.booleans())
+    return st.builds(
+        PartnerReport, time=_times, node_id=_ids, user_id=_ids,
+        session_id=_ids, events=st.lists(event, max_size=3).map(tuple),
+        n_incoming=st.integers(-1, 3), n_outgoing=st.integers(-1, 3))
+
+
+#: every fold that defines ``merge``, including a configured one
+MERGEABLE = [SessionTableFold, ClassifyUsersFold, UploadTotalsFold,
+             ContinuitySamplesFold, PartnerEventsFold,
+             lambda: ContinuitySamplesFold(playing_only=False)]
+
+
+def _exact(result):
+    """A fold result as a string that differs wherever the results do:
+    key order, ``-0.0`` against ``0.0`` and ``nan`` included."""
+    if isinstance(result, SessionTable):
+        return repr(result.sessions())
+    return repr(result)
+
+
+def _fed(fold, reports):
+    for report in reports:
+        fold.update(report)
+    return fold
+
+
+def _assert_merge_law(reports):
+    """``fold(A + B) == fold(A).merge(fold(B))`` for every cut A | B."""
+    for make in MERGEABLE:
+        whole = _exact(_fed(make(), reports).result())
+        for cut in range(len(reports) + 1):
+            first = _fed(make(), reports[:cut])
+            later = _fed(first.empty(), reports[cut:])
+            merged = first.merge(later)
+            assert merged is first
+            assert _exact(merged.result()) == whole, (make, cut)
+
+
+class TestMergeLaw:
+    """The folds ``fold_log`` may split: merging the fold of a stream's
+    tail into the fold of its head is the fold of the whole stream."""
+
+    def test_every_shipped_fold_but_the_views_merges(self):
+        views = {ConcurrentUsersFold, JoinFunnelFold}
+        assert {cls for cls in _shipped_folds()
+                if hasattr(cls, "merge")} == set(_shipped_folds()) - views
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_activity() | _qos() | _traffic() | _partner(),
+                    max_size=24))
+    def test_generated_streams(self, reports):
+        _assert_merge_law(reports)
+
+    def test_the_cases_a_merge_can_get_wrong(self):
+        def act(t, sess, event, reason=None, node=1, pub=True):
+            return ActivityReport(time=t, node_id=node, user_id=sess,
+                                  session_id=sess, event=event,
+                                  attempt=sess, address_public=pub,
+                                  reason=reason)
+
+        def traffic(t, up, node=1):
+            return TrafficReport(time=t, node_id=node, user_id=1,
+                                 session_id=1, total_up=up)
+
+        def partner(t, *event_times, node=1):
+            return PartnerReport(
+                time=t, node_id=node, user_id=1, session_id=1,
+                events=tuple(PartnerEvent(e, PartnerOp.ADD, 9, i % 2 == 0)
+                             for i, e in enumerate(event_times)),
+                n_incoming=1)
+
+        reports = [
+            act(0.0, 1, ActivityEvent.JOIN, pub=False),
+            partner(0.5, 3.0, 1.0, node=2),
+            traffic(0.5, -0.0), traffic(0.6, 0.0, node=2),
+            QoSReport(time=1.0, node_id=1, user_id=1, session_id=1,
+                      continuity=None, playing=True),
+            act(1.0, 1, ActivityEvent.LEAVE, LeaveReason.NORMAL),
+            act(1.0, 2, ActivityEvent.JOIN),
+            QoSReport(time=1.5, node_id=1, user_id=1, session_id=1,
+                      continuity=float("nan"), playing=True),
+            traffic(1.5, -2.0), traffic(1.5, 0.0),
+            act(2.0, 1, ActivityEvent.LEAVE),  # a second leave, no reason
+            act(2.0, 1, ActivityEvent.PLAYER_READY, node=3, pub=True),
+            partner(2.5, 1.0, 3.0, node=2), partner(2.5, 1.0),
+            traffic(3.0, 0.0), traffic(3.0, -0.0, node=3),
+        ]
+        _assert_merge_law(reports)
+        # what those cases produce, so the law is not met by both sides
+        # dropping them alike
+        (table,) = fold_log(reports, SessionTableFold())
+        assert table.get(1).leave_time == 2.0
+        assert table.get(1).leave_reason is None
+        (totals,) = fold_log(reports, UploadTotalsFold())
+        assert repr(totals) == "{1: 0.0, 2: 0.0, 3: 0.0}"
+        (events,) = fold_log(reports, PartnerEventsFold())
+        assert [(e[0], e[4]) for e in events] == [
+            (1.0, False), (1.0, True), (1.0, True),
+            (3.0, True), (3.0, False)]
 
 
 class TestFoldProtocol:

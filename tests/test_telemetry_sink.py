@@ -5,6 +5,8 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -303,6 +305,121 @@ class TestDamagedSpillDirectory:
         lines = [e.to_line() + "\n" for e in reader.iter_entries()]
         assert len(reader) == len(lines) == 20
         assert "".join(lines) == expected
+
+
+def _edit_manifest(directory, edit) -> Path:
+    manifest = directory / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    edit(doc)
+    manifest.write_text(json.dumps(doc))
+    return manifest
+
+
+class TestManifestValidation:
+    """``LogReader`` checks the manifest's line counts and file names when
+    it opens: a split fold trusts the counts, and a listed file is opened."""
+
+    def _assert_rejected(self, directory, edit, why):
+        manifest = _edit_manifest(directory, edit)
+        with pytest.raises(ValueError, match=re.escape(str(manifest))) as info:
+            LogReader(directory)
+        assert why in str(info.value)
+
+    def test_total_lines_must_be_the_sum_of_the_chunks(self, tmp_path):
+        _spilled(tmp_path / "log")   # 10 + 10 + 5 lines
+        for total in (24, 26, 0, None, "25", True):
+            self._assert_rejected(
+                tmp_path / "log", lambda doc: doc.update(total_lines=total),
+                "total_lines")
+        _edit_manifest(tmp_path / "log", lambda doc: doc.update(total_lines=25))
+        assert len(LogReader(tmp_path / "log")) == 25
+
+    def test_line_counts_must_be_non_negative_ints(self, tmp_path):
+        _spilled(tmp_path / "log")
+        for lines in (-1, 2.5, "10", None, True):
+            def edit(doc, lines=lines):
+                doc["chunks"][1]["lines"] = lines
+                doc["total_lines"] = 15 + (lines if type(lines) is int else 0)
+            self._assert_rejected(tmp_path / "log", edit, "line count")
+
+    def test_chunk_files_must_be_bare_chunk_names(self, tmp_path):
+        _spilled(tmp_path / "log")
+        outside = tmp_path / "chunk-000001.log.gz"
+        outside.write_bytes((tmp_path / "log" / "chunk-000001.log.gz")
+                            .read_bytes())
+        for name in ("../chunk-000001.log.gz", str(outside),
+                     "sub/chunk-000001.log.gz", "chunk-000001.log.gz/..",
+                     "chunk-1.log", "chunk-000001.txt", "manifest.json", 7):
+            def edit(doc, name=name):
+                doc["chunks"][1]["file"] = name
+            self._assert_rejected(tmp_path / "log", edit, "chunk file")
+
+
+class TestLineRanges:
+    """``LogReader.reports(start, stop)``: consecutive ranges read what one
+    pass reads, opening only the chunks that hold their lines."""
+
+    def test_any_partition_reads_the_whole_log(self, tmp_path):
+        _spilled(tmp_path / "log", n=23, per_chunk=5)
+        reader = LogReader(tmp_path / "log")
+        whole = [r.time for r in reader.reports()]
+        assert len(whole) == 23
+        for cuts in ([], [5], [7], [3, 4], [5, 10, 15, 20], [1, 12, 22],
+                     list(range(1, 23))):
+            bounds = [0] + cuts + [23]
+            assert [r.time for a, b in zip(bounds, bounds[1:])
+                    for r in reader.reports(a, b)] == whole, cuts
+        assert list(reader.reports(7, 7)) == []
+        with pytest.raises(ValueError, match="not within the 23 lines"):
+            list(reader.reports(20, 24))
+
+    def test_chunks_outside_the_range_are_not_opened(self, tmp_path):
+        _spilled(tmp_path / "log", n=25, per_chunk=5)
+        for index in (0, 3, 4):
+            (tmp_path / "log" / f"chunk-00000{index}.log.gz").unlink()
+        reader = LogReader(tmp_path / "log")
+        assert len(list(reader.reports(6, 15))) == 9
+        with pytest.raises(ValueError, match="chunk-000003"):
+            list(reader.reports(6, 16))
+
+    @pytest.mark.parametrize("extra", [-1, +1])
+    def test_a_line_count_is_checked_once_by_the_range_ending_it(
+            self, tmp_path, extra):
+        _spilled(tmp_path / "log", n=20, per_chunk=10, compress=False)
+        chunk = tmp_path / "log" / "chunk-000000.log"
+        lines = chunk.read_text().splitlines(keepends=True)
+        chunk.write_text("".join(lines + lines[-1:] if extra > 0
+                                 else lines[:-1]))
+        reader = LogReader(tmp_path / "log")
+        message = f"holds {10 + extra} lines, manifest says 10"
+        for a, b in ((0, 4), (4, 8), (12, 20)):
+            assert len(list(reader.reports(a, b))) == b - a
+        for a, b in ((0, 20), (4, 10), (9, 12)):
+            with pytest.raises(ValueError, match=message):
+                list(reader.reports(a, b))
+
+    def test_a_chunk_without_lines_belongs_to_one_range(self, tmp_path):
+        # a listed chunk of no lines is still opened (and checked) once:
+        # by the range holding the line before it, or the one from 0
+        _spilled(tmp_path / "log", n=20, per_chunk=10)
+
+        def listed_at(position):
+            def edit(doc):
+                doc["chunks"].insert(position, {"file": "chunk-000009.log",
+                                                "lines": 0})
+            return edit
+
+        for position, failing in ((0, (0, 5)), (1, (5, 10)), (2, (15, 20))):
+            _edit_manifest(tmp_path / "log", listed_at(position))
+            reader = LogReader(tmp_path / "log")
+            for span in ((0, 5), (5, 10), (10, 15), (15, 20)):
+                if span == failing:
+                    with pytest.raises(ValueError, match="chunk-000009"):
+                        list(reader.reports(*span))
+                else:
+                    assert len(list(reader.reports(*span))) == 5
+            _edit_manifest(tmp_path / "log",
+                           lambda doc: doc["chunks"].pop(position))
 
 
 class TestLoadValidation:
