@@ -7,8 +7,8 @@ requires the log to fit in RAM in the first place.  This module factors
 the per-report logic of each reconstruction into a :class:`Fold` --
 ``update(report)`` consumes one parsed report, ``result()`` finalises --
 and :func:`fold_log` drives any number of folds down a single pass over
-any report source (an in-memory :class:`~repro.telemetry.server.LogServer`,
-a spilled :class:`~repro.telemetry.sink.LogReader`, or a plain iterable).
+any report source (a :class:`~repro.telemetry.server.LogServer`, a
+spilled :class:`~repro.telemetry.sink.LogReader`, or a plain iterable).
 
 The whole-trace functions (``SessionTable.from_log``, ``classify_users``,
 ``upload_totals``, ``continuity_samples``, ``partner_events``,
@@ -16,9 +16,9 @@ The whole-trace functions (``SessionTable.from_log``, ``classify_users``,
 caller's output is bit-identical by construction: the folds run the very
 same per-report statements in the very same encounter order.
 
-A spilled log with enough lines is folded on every available CPU: as
-contiguous line ranges, one per forked worker, merged in range order
-(see :func:`fold_log`).
+A log with enough lines, in memory or spilled, is folded on every
+available CPU: as contiguous line ranges, one per forked worker, merged
+in range order (see :func:`fold_log`).
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ from repro.telemetry.reports import (
     Report,
     TrafficReport,
 )
-from repro.telemetry.sink import DEFAULT_LINES_PER_CHUNK, LogReader
+from repro.telemetry.server import LogServer
+from repro.telemetry.sink import DEFAULT_LINES_PER_CHUNK, ChunkedLog
 
 __all__ = [
     "Fold",
@@ -129,8 +130,10 @@ def fold_log(source, *folds: Fold) -> Tuple:
     point of the module: N statistics over a spilled multi-gigabyte log
     cost one streaming read, not N.
 
-    A :class:`~repro.telemetry.sink.LogReader` whose lines make at least
-    two ranges of ``DEFAULT_LINES_PER_CHUNK`` is folded on
+    A log with a line-range reader -- a
+    :class:`~repro.telemetry.sink.LogReader`, or a ``LogServer`` over
+    either shipped sink -- whose lines make at least two ranges of
+    ``DEFAULT_LINES_PER_CHUNK`` is folded on
     ``W = min(usable CPUs, lines // DEFAULT_LINES_PER_CHUNK)`` cores when
     every fold it feeds defines ``merge``: ``W - 1`` forked workers each
     fold one contiguous line range into :meth:`Fold.empty` twins while
@@ -142,9 +145,10 @@ def fold_log(source, *folds: Fold) -> Tuple:
     if not folds:
         raise ValueError("fold_log needs at least one fold")
     fed = _share_session_table(folds)
-    ranges = _line_ranges(source, fed)
+    reader = _range_reader(source)
+    ranges = _line_ranges(reader, fed) if reader is not None else []
     if ranges:
-        _fold_ranges(source, fed, ranges)
+        _fold_ranges(reader, fed, ranges)
     else:
         _feed(iter_reports(source), fed)
     return tuple(f.result() for f in folds)
@@ -175,18 +179,28 @@ def _feed(reports: Iterable[Report], fed: List[Fold]) -> None:
 _MIN_RANGE_LINES = DEFAULT_LINES_PER_CHUNK
 
 
-def _line_ranges(source, fed: List[Fold]) -> List[Tuple[int, int]]:
-    """The contiguous ``[start, stop)`` line ranges to fold ``source`` in,
-    one per worker, or none for the single pass.  Only a spilled log is
-    split: splitting an in-memory one measured a peak RSS past the
-    benchmark's bound (DESIGN.md section 7).
+def _range_reader(source) -> Optional[ChunkedLog]:
+    """The line-range reader of ``source``, if it has one: the source
+    itself, or a ``LogServer``'s sink."""
+    if isinstance(source, LogServer):
+        source = source.sink
+    return source if isinstance(source, ChunkedLog) else None
+
+
+def _line_ranges(reader: ChunkedLog, fed: List[Fold]
+                 ) -> List[Tuple[int, int]]:
+    """The contiguous ``[start, stop)`` line ranges to fold ``reader`` in,
+    one per worker, or none for the single pass.  An in-memory log is
+    split like a spilled one: its rotated lines are a few ``bytes``
+    objects, so a forked worker copies no page per line by touching it
+    (DESIGN.md section 7).
     """
-    if not (isinstance(source, LogReader) and hasattr(os, "fork")
+    if not (hasattr(os, "fork")
             and hasattr(os, "sched_getaffinity")
             and threading.active_count() == 1
             and all(callable(getattr(f, "merge", None)) for f in fed)):
         return []
-    lines = len(source)
+    lines = len(reader)
     workers = min(len(os.sched_getaffinity(0)), lines // _MIN_RANGE_LINES)
     if workers < 2:
         return []
@@ -194,7 +208,7 @@ def _line_ranges(source, fed: List[Fold]) -> List[Tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _fold_ranges(reader: LogReader, fed: List[Fold],
+def _fold_ranges(reader: ChunkedLog, fed: List[Fold],
                  ranges: List[Tuple[int, int]]) -> None:
     """Fold ``ranges[0]`` into ``fed`` here and every later range in a
     forked worker, then merge the workers' twins in range order.
@@ -231,7 +245,7 @@ def _fold_ranges(reader: LogReader, fed: List[Fold],
                 except (EOFError, pickle.UnpicklingError) as exc:
                     raise RuntimeError(
                         f"the fold worker for lines [{start}, {stop}) of "
-                        f"{reader.directory} exited without its result"
+                        f"{reader.location} exited without its result"
                     ) from exc
                 if isinstance(theirs, BaseException):
                     raise theirs
@@ -246,7 +260,7 @@ def _fold_ranges(reader: LogReader, fed: List[Fold],
             os.waitpid(pid, 0)
 
 
-def _range_worker(reader: LogReader, fed: List[Fold], distinct: List[Fold],
+def _range_worker(reader: ChunkedLog, fed: List[Fold], distinct: List[Fold],
                   span: Tuple[int, int], write_fd: int) -> NoReturn:
     """A forked worker's whole life: fold lines ``span`` into empty twins
     of ``distinct`` (fed as ``fed`` lists them), write each twin -- or the

@@ -222,10 +222,20 @@ class NetBackend:
     def _order_log(self) -> None:
         """Stable-sort an in-memory log by virtual arrival time: frames
         from independent connections interleave slightly out of order,
-        and downstream folds expect arrival-ordered entries."""
-        sink = self.system.log.sink
-        if isinstance(sink, MemorySink):
-            sink._entries.sort(key=attrgetter("arrival_time"))
+        and downstream folds expect arrival-ordered entries.  A log found
+        out of order is rebuilt, sorted as its ``.3f`` times read (entries
+        within one millisecond keep their order), into a sink like the one
+        it replaces."""
+        log = self.system.log
+        sink = log.sink
+        if isinstance(sink, MemorySink) and not log.in_arrival_order():
+            ordered = MemorySink(lines_per_chunk=sink.lines_per_chunk)
+            for entry in sorted(sink.iter_entries(),
+                                key=attrgetter("arrival_time")):
+                ordered.append(entry)
+            if sink.closed:
+                ordered.close()
+            log.sink = ordered
 
     # -- teardown ------------------------------------------------------
     def close(self) -> None:

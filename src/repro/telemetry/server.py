@@ -3,18 +3,19 @@
 Stores every received log string (with its arrival timestamp) into a log
 file -- one line per HTTP request -- and offers parsed views for the
 analysis package.  Storage is pluggable (:mod:`repro.telemetry.sink`):
-the default is the original in-memory list, or a chunked gzip spill to
-disk when a spill root is configured (``REPRO_LOG_SPILL`` /
-``--log-spill``), so production-volume traces no longer grow the
-resident set per entry.  A real deployment wrote these lines to disk;
-:meth:`LogServer.dump` / :meth:`LogServer.load` replicate that so the
-analysis toolkit can also be exercised on files.
+both sinks keep the log as gzip chunks of its lines, in memory by
+default or spilled to disk when a spill root is configured
+(``REPRO_LOG_SPILL`` / ``--log-spill``), so production-volume traces do
+not grow the resident set by an object per entry.  A real deployment
+wrote these lines to disk; :meth:`LogServer.dump` / :meth:`LogServer.load`
+replicate that so the analysis toolkit can also be exercised on files.
 """
 
 from __future__ import annotations
 
 import heapq
 import io
+import itertools
 from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, TextIO
 
@@ -58,12 +59,12 @@ class LogServer:
         self.sink.write(arrival_time, report.to_log_string())
 
     def flush(self) -> None:
-        """Persist buffered lines (rotates a spill sink's current tail to
+        """Rotate the sink's live tail into a chunk (a spill sink's to
         disk); the server keeps accepting reports."""
         self.sink.flush()
 
     def close(self) -> None:
-        """Flush the sink (rotates a spill sink's tail chunk to disk)."""
+        """Flush the sink's tail into a chunk; further reports are errors."""
         self.sink.close()
 
     # --- access ------------------------------------------------------------
@@ -80,9 +81,19 @@ class LogServer:
         return iter(self.sink.iter_entries())
 
     def reports(self) -> Iterator[Report]:
-        """Parse every stored entry, in arrival order."""
-        for entry in self.sink.iter_entries():
-            yield entry.parse()
+        """Parse every stored line, in arrival order: through the sink's
+        own line-to-report reader when it has one (both shipped sinks; no
+        ``LogEntry`` per line), else entry by entry."""
+        sink_reports = getattr(self.sink, "reports", None)
+        if sink_reports is not None:
+            return sink_reports()
+        return map(LogEntry.parse, self.sink.iter_entries())
+
+    def in_arrival_order(self) -> bool:
+        """Whether stored arrival times never decrease, compared as the
+        log stores them (to the millisecond): one streaming pass."""
+        times = map(_BY_ARRIVAL, self.sink.iter_entries())
+        return all(a <= b for a, b in itertools.pairwise(times))
 
     def reports_of(self, report_type: type) -> Iterator[Report]:
         """Parsed reports filtered to one report class."""
@@ -139,14 +150,16 @@ class LogServer:
 
         Each input is consumed through its streaming iterator and the
         output goes straight to the target sink, so merging spilled logs
-        is O(1) memory.  Ties keep input order (earlier server first),
-        matching what a stable sort of the concatenated lists produced.
+        is O(1) memory.  Arrival times compare as the log stores them, to
+        the millisecond, so entries within one millisecond tie; ties keep
+        input order (earlier server first), matching what a stable sort
+        of the concatenated lists produced.
 
         Logs received through an engine are arrival-ordered by
         construction; in-memory logs populated out of order (manual
-        ``receive_report`` calls) are detected and sorted first, while a
-        spilled log is assumed ordered (checking would cost a full extra
-        pass over disk).
+        ``receive_report`` calls, ``net``'s interleaved frames) are
+        detected and stable-sorted first, while a spilled log is assumed
+        ordered (checking would cost a full extra pass over disk).
         """
         servers = list(servers)
         merged = cls(sink=sink)
@@ -171,15 +184,11 @@ _BY_ARRIVAL = attrgetter("arrival_time")
 def _ordered_entries(server: LogServer) -> Iterator[LogEntry]:
     """Arrival-ordered entry stream for merging.
 
-    In-memory sinks are checked (O(n), no copy) and stable-sorted only
-    when actually out of order, which reproduces the pre-streaming
+    An in-memory log is checked in one streaming pass and stable-sorted
+    only when actually out of order, which reproduces the pre-streaming
     ``sorted(a + b)`` semantics exactly; other sinks stream as stored.
     """
     sink = server.sink
-    if isinstance(sink, MemorySink):
-        entries = sink._entries
-        if any(entries[i].arrival_time > entries[i + 1].arrival_time
-               for i in range(len(entries) - 1)):
-            return iter(sorted(entries, key=_BY_ARRIVAL))
-        return iter(entries)
+    if isinstance(sink, MemorySink) and not server.in_arrival_order():
+        return iter(sorted(sink.iter_entries(), key=_BY_ARRIVAL))
     return iter(sink.iter_entries())

@@ -2,26 +2,27 @@
 keeps its lines.
 
 The deployed system's log server was a disk-backed HTTP endpoint
-ingesting millions of log strings per broadcast (Section V.A); our
-original ``LogServer`` buffered every :class:`LogEntry` in a Python list,
-which at ROADMAP scale is the first hard memory wall.  This module
-factors the storage decision out behind a tiny protocol:
+ingesting millions of log strings per broadcast (Section V.A), and wrote
+every line to a file it analysed afterwards.  Both sinks here store the
+log the way that file does -- as rendered ``"<arrival:.3f> <log_string>"``
+lines, a live tail of them rotated every ``lines_per_chunk`` lines into
+one gzip member -- and differ only in where a member goes:
 
-* :class:`MemorySink` -- the original in-RAM list (default; zero change
-  in behaviour or byte format).
-* :class:`SpillSink` -- a chunked, optionally gzip-compressed on-disk
-  store with rotation by line count and an fsync'd JSON manifest per
-  rotation, so the resident set stays bounded by one chunk regardless of
-  trace length and a crash loses at most the unrotated tail.
+* :class:`MemorySink` -- keeps the members as ``bytes`` in a list
+  (default).
+* :class:`SpillSink` -- writes each member to a chunk file, fsyncs it and
+  records it in a JSON manifest, so the resident set stays bounded by one
+  chunk regardless of trace length and a crash loses at most the
+  unrotated tail.
 * :class:`LogReader` -- streams the entries of a spill directory back
   without materialising them (the input side of out-of-core analysis).
 
-Chunks store exactly the ``LogEntry.to_line()`` text, one line per entry,
-so a spilled log dumps byte-identically to an in-memory one -- and a
-:class:`SpillSink` holds its unrotated tail as those same rendered lines,
-so what it reads back does not depend on whether a line has been rotated
-out yet.  Gzip members are written with ``mtime=0`` so identical logs
-produce identical chunk bytes.
+All three are a :class:`ChunkedLog`: one line-range reader over a chunk
+list plus an optional live tail gives each ``iter_entries()`` and
+``reports(start, stop)``.  Chunks store exactly the ``LogEntry.to_line()``
+text, so a log reads and dumps the same whichever sink holds it, and
+whether or not a line has been rotated out yet.  Gzip members are written
+with ``mtime=0`` so identical logs produce identical chunk bytes.
 
 Spilling is opt-in per process: ``REPRO_LOG_SPILL=<dir>`` (or
 :func:`set_spill_root`) makes every subsequently created ``LogServer``
@@ -33,20 +34,23 @@ content-addressed run key.
 from __future__ import annotations
 
 import gzip
+import io
 import itertools
 import json
 import os
 import re
 import zlib
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, List, Optional, Protocol, Tuple
+from typing import IO, Iterator, List, Optional, Protocol, Tuple, Union
 
 from repro.telemetry.reports import Report, decode_report
 
 __all__ = [
     "LogEntry",
     "LogSink",
+    "ChunkedLog",
     "MemorySink",
     "SpillSink",
     "LogReader",
@@ -60,16 +64,25 @@ __all__ = [
 SPILL_ENV_VAR = "REPRO_LOG_SPILL"
 
 #: Default rotation threshold: ~50k lines is a few MB of text, so the
-#: in-memory tail of a spilled log stays small while chunks stay large
-#: enough that per-chunk overhead (open/fsync/manifest rewrite) is noise.
+#: live tail of a log stays small while chunks stay large enough that
+#: per-chunk overhead (a gzip member; for a spill, open/fsync/manifest
+#: rewrite) is noise.
 DEFAULT_LINES_PER_CHUNK = 50_000
 
-#: Chunks are deflated at zlib's default level, not ``GzipFile``'s
-#: implicit 9: on a real 243k-line (23 MB) ODE log level 9 cost 0.60 s
-#: of deflate against 0.26 s, for chunks 1.5% smaller.
-_CHUNK_COMPRESSLEVEL = 6
+#: Chunks are deflated at level 1, a constant of the writer: on the
+#: benchmark's 132k-line fluid log level 6 cost 1.59 us per line and
+#: level 1 0.49 us, for chunks 23% larger (1.45 -> 1.78 MiB).
+_CHUNK_COMPRESSLEVEL = 1
+
+#: Lines handed to the compressor per write: a rotation never joins the
+#: whole tail into one chunk-sized string and one bytes object.
+_SLICE_LINES = 1024
 
 _MANIFEST_NAME = "manifest.json"
+
+#: Where a chunk's text lives: a spilled chunk file, or an in-memory
+#: gzip member.
+Chunk = Union[Path, bytes]
 
 
 def _split_line(line: str) -> Tuple[float, str]:
@@ -103,11 +116,14 @@ class LogSink(Protocol):
     """Storage backend for a log server's entries.
 
     Append-only and order-preserving: ``iter_entries`` must yield the
-    stored lines in append order, so analysis over a spilled log is
-    bit-identical to analysis over an in-memory one.  A sink that keeps
-    rendered lines (:class:`SpillSink`) yields each entry as its line
-    reads: the log string exactly, the arrival time as the ``.3f`` value
-    the log file carries -- before a rotation and after it alike.
+    stored lines in append order, so analysis over one sink is
+    bit-identical to analysis over another.  The shipped sinks keep
+    rendered lines, so each entry reads back as its line does: the log
+    string exactly, the arrival time as the ``.3f`` value the log file
+    carries.  They are also a :class:`ChunkedLog`, whose
+    ``reports(start, stop)`` parses lines straight to reports and lets
+    ``fold_log`` split the log; ``LogServer.reports`` parses
+    ``iter_entries`` for a sink without one.
     """
 
     def write(self, arrival_time: float, log_string: str) -> None:
@@ -135,36 +151,200 @@ class LogSink(Protocol):
         ...
 
 
-class MemorySink:
-    """The original storage: a plain in-RAM list of entries."""
+def _open_chunk(chunk: Chunk) -> IO[str]:
+    """A chunk's text: a spilled file (gzip or plain) or a gzip member."""
+    if isinstance(chunk, bytes):
+        return gzip.open(io.BytesIO(chunk), "rt", encoding="utf-8")
+    if chunk.suffix == ".gz":
+        return gzip.open(chunk, "rt", encoding="utf-8")
+    return open(chunk, "r", encoding="utf-8")
 
-    def __init__(self) -> None:
-        self._entries: List[LogEntry] = []
 
-    def write(self, arrival_time: float, log_string: str) -> None:
-        """Store one log string with its arrival time."""
-        self._entries.append(LogEntry(arrival_time, log_string))
+def _read_chunk(chunk: Chunk, lines: int) -> Iterator[Tuple[float, str]]:
+    """Stream one chunk line by line, as ``(arrival_time, log_string)``
+    pairs; blank lines are skipped.
 
-    def append(self, entry: LogEntry) -> None:
-        """Store one entry."""
-        self._entries.append(entry)
+    A chunk that is missing, truncated or corrupt -- or holds another
+    number of lines than was recorded for it, or a line without a numeric
+    arrival stamp -- raises ``ValueError`` naming the file: analysing the
+    part of a log that happens to be readable would silently change every
+    figure.
+    """
+    name = ("an in-memory chunk" if isinstance(chunk, bytes)
+            else f"spill chunk {chunk}")
+    seen = 0
+    try:
+        with _open_chunk(chunk) as fh:
+            for line in fh:
+                if not line.isspace():
+                    seen += 1
+                    yield _split_line(line)
+    except (OSError, EOFError, zlib.error, ValueError) as exc:
+        raise ValueError(f"{name} is unreadable: {exc!r}") from exc
+    if seen != lines:
+        raise ValueError(f"{name} holds {seen} lines, manifest says {lines}")
+
+
+class ChunkedLog:
+    """A log as a list of chunks plus a live tail of rendered lines.
+
+    ``_chunks`` holds ``(chunk, index of its first line, lines)`` per
+    chunk; ``_tail`` the ``"<arrival:.3f> <log_string>\\n"`` lines not yet
+    rotated into one.  Every way of reading the log goes through
+    :meth:`_lines`, so whole-log and range reads, in-memory and spilled
+    chunks, share one reader and its checks.  ``location`` names the log
+    in error messages.
+    """
+
+    def __init__(self, location: str) -> None:
+        self.location = location
+        self._chunks: List[Tuple[Chunk, int, int]] = []
+        self._tail: List[str] = []
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._count
+
+    def _lines(self, start: int, stop: int) -> Iterator[Tuple[float, str]]:
+        """Lines ``[start, stop)`` of the log, opening only the chunks that
+        hold them.  In the first, the lines before ``start`` are read and
+        split, not yielded.  A chunk's line count is checked at its end, so
+        it is read to the end by the range holding its last line -- a chunk
+        without lines by the range holding the line before it, or starting
+        at 0 -- and left at ``stop`` by any other.
+
+        The log is the one at the first ``next()``: lines appended (or
+        rotated) later do not shift the view -- a rotation replaces the
+        tail list instead of emptying it."""
+        chunks, tail, count = list(self._chunks), self._tail, self._count
+        tail_first = count - len(tail)
+        if not 0 <= start <= stop <= count:
+            raise ValueError(f"line range [{start}, {stop}) is not within "
+                             f"the {count} lines of {self.location}")
+        for chunk, first, lines in chunks:
+            end = first + lines
+            if start < end <= stop or end == start == 0:
+                take = None
+            elif first < stop < end and start < stop:
+                take = stop - first
+            else:
+                continue
+            yield from itertools.islice(_read_chunk(chunk, lines),
+                                        max(start - first, 0), take)
+        yield from map(_split_line, itertools.islice(
+            tail, max(start - tail_first, 0), max(stop - tail_first, 0)))
 
     def iter_entries(self) -> Iterator[LogEntry]:
-        """Stream the stored entries in append order."""
-        return iter(self._entries)
+        """Stream every entry, in append order."""
+        return itertools.starmap(LogEntry, self._lines(0, self._count))
+
+    def reports(self, start: int = 0, stop: Optional[int] = None
+                ) -> Iterator[Report]:
+        """Parsed reports of lines ``[start, stop)`` (default: every line),
+        in arrival (append) order: each stored line straight to its report
+        (what ``entry.parse()`` over :meth:`iter_entries` gives, without an
+        entry per line).  Consecutive ranges read exactly what one pass
+        over their union reads, checks included."""
+        lines = self._lines(start, self._count if stop is None else stop)
+        return map(decode_report, map(_LOG_STRING, lines))
+
+
+_LOG_STRING = itemgetter(1)
+
+
+def _write_lines(lines: List[str], out) -> None:
+    """Write rendered lines to ``out``, ``_SLICE_LINES`` at a time."""
+    for i in range(0, len(lines), _SLICE_LINES):
+        out.write("".join(lines[i:i + _SLICE_LINES]).encode("utf-8"))
+
+
+def _deflate(lines: List[str], fileobj) -> None:
+    """Write rendered lines to ``fileobj`` as one gzip member, through one
+    compressor that lives only as long as the call."""
+    # mtime=0 keeps chunk bytes a pure function of their contents
+    with gzip.GzipFile(fileobj=fileobj, mode="wb", mtime=0,
+                       compresslevel=_CHUNK_COMPRESSLEVEL) as gz:
+        _write_lines(lines, gz)
+
+
+class _ChunkSink(ChunkedLog):
+    """The write side both sinks share.
+
+    Lines accumulate, already rendered, in the tail; every
+    ``lines_per_chunk`` appends -- and at ``flush()``/``close()`` -- the
+    tail is rotated out as one chunk, which :meth:`_store` puts where the
+    sink keeps its chunks.
+    """
+
+    def __init__(self, location: str, lines_per_chunk: int) -> None:
+        if lines_per_chunk < 1:
+            raise ValueError("lines_per_chunk must be >= 1")
+        super().__init__(location)
+        self.lines_per_chunk = int(lines_per_chunk)
+        self._closed = False
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has been called."""
+        return self._closed
+
+    def write(self, arrival_time: float, log_string: str) -> None:
+        """Store one line, rotating a chunk out when the tail fills."""
+        if self._closed:
+            raise ValueError("sink is closed")
+        tail = self._tail
+        # == LogEntry(arrival_time, log_string).to_line() + "\n"
+        tail.append(f"{arrival_time:.3f} {log_string}\n")
+        self._count += 1
+        if len(tail) >= self.lines_per_chunk:
+            self._rotate()
+
+    def append(self, entry: LogEntry) -> None:
+        """Store one entry (``write`` of its two fields)."""
+        self.write(entry.arrival_time, entry.log_string)
+
+    def _store(self, lines: List[str]) -> Chunk:
+        """Keep ``lines`` as the next chunk; returns where it went."""
+        raise NotImplementedError
+
+    def _rotate(self) -> None:
+        """Store the tail as one chunk and start a new tail."""
+        tail = self._tail
+        if not tail:
+            return
+        chunk = self._store(tail)
+        self._chunks.append((chunk, self._count - len(tail), len(tail)))
+        self._tail = []
 
     def flush(self) -> None:
-        """Nothing buffered: entries live in the list already."""
+        """Rotate the current tail out; appends may continue (the next
+        rotation starts a new chunk)."""
+        self._rotate()
 
     def close(self) -> None:
-        """No buffered state; a closed memory sink just refuses appends."""
-        self.write = self.append = self._refuse  # type: ignore[method-assign]
+        """Rotate the remaining tail out; further appends are errors."""
+        if self._closed:
+            return
+        self._rotate()
+        self._closed = True
 
-    def _refuse(self, *_line) -> None:
-        raise ValueError("sink is closed")
+
+class MemorySink(_ChunkSink):
+    """The in-RAM store: rotated chunks stay in memory as gzip members.
+
+    A line costs its share of a deflated chunk -- about a sixth of its
+    text -- instead of a ``LogEntry`` per line, and a forked fold worker
+    reads the chunks without touching one object per line.
+    """
+
+    def __init__(self, *, lines_per_chunk: int = DEFAULT_LINES_PER_CHUNK
+                 ) -> None:
+        super().__init__("an in-memory log", lines_per_chunk)
+
+    def _store(self, lines: List[str]) -> bytes:
+        buf = io.BytesIO()
+        _deflate(lines, buf)
+        return buf.getvalue()
 
 
 def _fsync_dir(path: Path) -> None:
@@ -179,24 +359,18 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-class SpillSink:
+class SpillSink(_ChunkSink):
     """Chunked on-disk log store with bounded resident memory.
 
-    Lines accumulate, already rendered, in an in-memory tail; every
-    ``lines_per_chunk`` appends the tail is rotated out as one (gzip)
-    chunk file and recorded in the directory's ``manifest.json``.  Both
-    the chunk file and the manifest are fsync'd per rotation, so the
-    durability unit is the chunk: a crash loses at most the unrotated
-    tail.
-
-    ``iter_entries`` streams rotated chunks from disk and then the live
-    tail, preserving exact append order.
+    Each rotated chunk becomes one (gzip) chunk file, recorded in the
+    directory's ``manifest.json``.  Both the chunk file and the manifest
+    are fsync'd per rotation, in that order, so the durability unit is
+    the chunk: a crash loses at most the unrotated tail.
     """
 
     def __init__(self, directory, *, lines_per_chunk: int = DEFAULT_LINES_PER_CHUNK,
                  compress: bool = True) -> None:
-        if lines_per_chunk < 1:
-            raise ValueError("lines_per_chunk must be >= 1")
+        super().__init__(str(Path(directory)), lines_per_chunk)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         if (self.directory / _MANIFEST_NAME).exists():
@@ -204,52 +378,25 @@ class SpillSink:
                 f"{self.directory} already holds a spilled log; "
                 f"use LogReader to read it or pick a fresh directory"
             )
-        self.lines_per_chunk = int(lines_per_chunk)
         self.compress = bool(compress)
-        self._tail: List[str] = []  # "<arrival:.3f> <log_string>\n" each
-        self._chunks: List[dict] = []
-        self._count = 0
-        self._closed = False
 
-    # --- ingestion ---------------------------------------------------------
-    def write(self, arrival_time: float, log_string: str) -> None:
-        """Store one line, rotating a chunk out when the tail fills."""
-        if self._closed:
-            raise ValueError("sink is closed")
-        # == LogEntry(arrival_time, log_string).to_line() + "\n"
-        self._tail.append(f"{arrival_time:.3f} {log_string}\n")
-        self._count += 1
-        if len(self._tail) >= self.lines_per_chunk:
-            self._rotate()
-
-    def append(self, entry: LogEntry) -> None:
-        """Store one entry (``write`` of its two fields)."""
-        self.write(entry.arrival_time, entry.log_string)
+    def _store(self, lines: List[str]) -> Path:
+        suffix = ".log.gz" if self.compress else ".log"
+        path = self.directory / f"chunk-{len(self._chunks):06d}{suffix}"
+        with open(path, "wb") as fh:
+            if self.compress:
+                _deflate(lines, fh)
+            else:
+                _write_lines(lines, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        return path
 
     def _rotate(self) -> None:
         """Write the tail as one chunk file and record it in the manifest."""
-        if not self._tail:
-            return
-        suffix = ".log.gz" if self.compress else ".log"
-        name = f"chunk-{len(self._chunks):06d}{suffix}"
-        path = self.directory / name
-        raw = "".join(self._tail).encode("utf-8")
-        if self.compress:
-            # mtime=0 keeps chunk bytes a pure function of their contents
-            with open(path, "wb") as fh:
-                with gzip.GzipFile(fileobj=fh, mode="wb", mtime=0,
-                                   compresslevel=_CHUNK_COMPRESSLEVEL) as gz:
-                    gz.write(raw)
-                fh.flush()
-                os.fsync(fh.fileno())
-        else:
-            with open(path, "wb") as fh:
-                fh.write(raw)
-                fh.flush()
-                os.fsync(fh.fileno())
-        self._chunks.append({"file": name, "lines": len(self._tail)})
-        self._tail = []
-        self._write_manifest()
+        if self._tail:
+            super()._rotate()
+            self._write_manifest()
 
     def _write_manifest(self) -> None:
         """Atomically replace the manifest (write-fsync-rename-fsync)."""
@@ -257,8 +404,9 @@ class SpillSink:
             "format": "repro-log-spill-v1",
             "compress": self.compress,
             "lines_per_chunk": self.lines_per_chunk,
-            "total_lines": sum(c["lines"] for c in self._chunks),
-            "chunks": self._chunks,
+            "total_lines": self._count - len(self._tail),
+            "chunks": [{"file": path.name, "lines": lines}
+                       for path, _first, lines in self._chunks],
         }
         tmp = self.directory / (_MANIFEST_NAME + ".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -268,61 +416,6 @@ class SpillSink:
             os.fsync(fh.fileno())
         os.replace(tmp, self.directory / _MANIFEST_NAME)
         _fsync_dir(self.directory)
-
-    def flush(self) -> None:
-        """Rotate the current tail out so the directory is complete so
-        far; appends may continue (the next rotation opens a new chunk)."""
-        self._rotate()
-
-    def close(self) -> None:
-        """Rotate the remaining tail out so the directory is complete."""
-        if self._closed:
-            return
-        self._rotate()
-        self._closed = True
-
-    # --- access ------------------------------------------------------------
-    def __len__(self) -> int:
-        return self._count
-
-    def iter_entries(self) -> Iterator[LogEntry]:
-        """Stream rotated chunks from disk, then the in-memory tail."""
-        # snapshots: appends during iteration must not shift the view
-        yield from itertools.starmap(
-            LogEntry, _read_chunks(self.directory, list(self._chunks)))
-        yield from map(LogEntry.from_line, list(self._tail))
-
-
-def _read_chunk(path: Path, lines: int) -> Iterator[Tuple[float, str]]:
-    """Stream one chunk file (gzip or plain) line by line, as
-    ``(arrival_time, log_string)`` pairs; blank lines are skipped.
-
-    A manifest-listed chunk that is missing, truncated or corrupt -- or
-    holds another number of lines than the manifest recorded for it, or
-    a line without a numeric arrival stamp -- raises ``ValueError``
-    naming the file: analysing the part of a log that happens to be
-    readable would silently change every figure.
-    """
-    opener = gzip.open if path.suffix == ".gz" else open
-    seen = 0
-    try:
-        with opener(path, "rt", encoding="utf-8") as fh:  # type: ignore[operator]
-            for line in fh:
-                if not line.isspace():
-                    seen += 1
-                    yield _split_line(line)
-    except (OSError, EOFError, zlib.error, ValueError) as exc:
-        raise ValueError(f"spill chunk {path} is unreadable: {exc!r}") from exc
-    if seen != lines:
-        raise ValueError(
-            f"spill chunk {path} holds {seen} lines, manifest says {lines}"
-        )
-
-
-def _read_chunks(directory: Path, chunks) -> Iterator[Tuple[float, str]]:
-    """The lines of manifest-listed ``chunks``, one file after another."""
-    for chunk in chunks:
-        yield from _read_chunk(directory / chunk["file"], chunk["lines"])
 
 
 #: What :class:`SpillSink` names its chunks: a bare file name, so a
@@ -365,7 +458,7 @@ def _manifest_chunks(path: Path, manifest) -> List[Tuple[str, int]]:
     return chunks
 
 
-class LogReader:
+class LogReader(ChunkedLog):
     """Read-only streaming view of a completed spill directory.
 
     Presents the same ``iter_entries`` / ``reports`` face as a live sink
@@ -375,6 +468,7 @@ class LogReader:
     """
 
     def __init__(self, directory) -> None:
+        super().__init__(str(Path(directory)))
         self.directory = Path(directory)
         manifest = self.directory / _MANIFEST_NAME
         try:
@@ -382,51 +476,9 @@ class LogReader:
                 self.manifest = json.load(fh)
         except OSError as exc:
             raise ValueError(f"no spilled log at {self.directory}: {exc}") from exc
-        # (path, index of its first line, lines) per chunk
-        self._chunks: List[Tuple[Path, int, int]] = []
-        self._total = 0
         for name, lines in _manifest_chunks(manifest, self.manifest):
-            self._chunks.append((self.directory / name, self._total, lines))
-            self._total += lines
-
-    def __len__(self) -> int:
-        return self._total
-
-    def _lines(self, start: int, stop: int) -> Iterator[Tuple[float, str]]:
-        """Lines ``[start, stop)`` of the log, opening only the chunks that
-        hold them.  In the first, the lines before ``start`` are read and
-        split, not yielded.  A chunk's line count is checked at its end, so
-        it is read to the end by the range holding its last line -- a chunk
-        without lines by the range holding the line before it, or starting
-        at 0 -- and left at ``stop`` by any other."""
-        if not 0 <= start <= stop <= self._total:
-            raise ValueError(f"line range [{start}, {stop}) is not within "
-                             f"the {self._total} lines of {self.directory}")
-        for path, first, lines in self._chunks:
-            end = first + lines
-            if start < end <= stop or end == start == 0:
-                take = None
-            elif first < stop < end and start < stop:
-                take = stop - first
-            else:
-                continue
-            yield from itertools.islice(_read_chunk(path, lines),
-                                        max(start - first, 0), take)
-
-    def iter_entries(self) -> Iterator[LogEntry]:
-        """Stream every entry of every manifest-listed chunk, in order."""
-        return itertools.starmap(LogEntry, self._lines(0, self._total))
-
-    def reports(self, start: int = 0, stop: Optional[int] = None
-                ) -> Iterator[Report]:
-        """Parsed reports of lines ``[start, stop)`` (default: every line),
-        in arrival (append) order: each stored line straight to its report
-        (what ``entry.parse()`` over :meth:`iter_entries` gives, without an
-        entry per line).  Consecutive ranges read exactly what one pass
-        over their union reads, checks included."""
-        lines = self._lines(start, self._total if stop is None else stop)
-        for _arrival_time, log_string in lines:
-            yield decode_report(log_string)
+            self._chunks.append((self.directory / name, self._count, lines))
+            self._count += lines
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""``fold_log`` over a spilled log split into line ranges, one forked
-worker per range after the first: every result, and every error, is the
-single pass's, and no worker or descriptor outlives the call."""
+"""``fold_log`` over a spilled or in-memory log split into line ranges,
+one forked worker per range after the first: every result, and every
+error, is the single pass's, and no worker or descriptor outlives the
+call."""
 
 from __future__ import annotations
 
 import contextlib
 import multiprocessing
 import os
+import re
 import signal
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -30,7 +32,7 @@ from repro.analysis.streaming import (
 )
 from repro.runtime import run_scenario
 from repro.telemetry.server import LogServer
-from repro.telemetry.sink import LogReader, SpillSink
+from repro.telemetry.sink import LogReader, MemorySink, SpillSink
 from repro.workload.scenarios import steady_audience
 
 pytestmark = [
@@ -48,9 +50,9 @@ TEST_PID = os.getpid()
 
 @contextlib.contextmanager
 def forced(workers: int):
-    """``fold_log`` splits any spilled log of ``workers`` lines or more
-    into ``workers`` ranges (1: the single pass); yields the worker pids
-    it forks."""
+    """``fold_log`` splits any log of ``workers`` lines or more into
+    ``workers`` ranges (1: the single pass); yields the worker pids it
+    forks."""
     forks = []
     real_fork = os.fork
 
@@ -109,10 +111,11 @@ def _exact(result):
     return repr(result)
 
 
-def _outcome(directory, workers: int, folds=None):
-    """What ``fold_log`` gives over the spill directory at ``workers``
-    ranges: every result, or the ``(type, message)`` it raised."""
-    reader = LogReader(directory)
+def _outcome(log, workers: int, folds=None):
+    """What ``fold_log`` gives over ``log`` -- a ``LogServer``, or a spill
+    directory read through a ``LogReader`` -- at ``workers`` ranges: every
+    result, or the ``(type, message)`` it raised."""
+    reader = log if isinstance(log, LogServer) else LogReader(log)
     with forced(workers) as forks:
         try:
             results = fold_log(reader, *(folds or _folds()))
@@ -124,10 +127,10 @@ def _outcome(directory, workers: int, folds=None):
     return outcome
 
 
-def _same_outcome_split(directory):
-    single = _outcome(directory, 1)
+def _same_outcome_split(log):
+    single = _outcome(log, 1)
     for workers in (2, 3, 5):
-        assert _outcome(directory, workers) == single, workers
+        assert _outcome(log, workers) == single, workers
     return single
 
 
@@ -220,17 +223,104 @@ class TestSplitEqualsSinglePass:
         assert split == single
 
 
+def _in_memory(text, per_chunk, *, flush=True) -> LogServer:
+    """``text`` loaded into a ``MemorySink``: chunks of ``per_chunk``
+    lines, and the rest in the live tail unless flushed."""
+    server = LogServer.loads(text, sink=MemorySink(lines_per_chunk=per_chunk))
+    if flush:
+        server.flush()
+    return server
+
+
+class TestInMemorySplitEqualsSinglePass:
+    """A ``LogServer`` over a ``MemorySink`` is split by the same range
+    reader, over in-memory chunks and the live tail."""
+
+    @pytest.mark.parametrize("cut,per_chunk,workers", [
+        ("boundary", 96, 5),     # 96, 192, 288, 384
+        ("boundary", 120, 2),    # 240
+        ("mid-chunk", 120, 3),   # 160, 320
+        ("tail", 300, 3),        # 160 mid-chunk; 320 in the tail from 300
+        ("tail", 300, 5),        # 96, 192, 288; 384 in the tail
+        ("tail", 1000, 2),       # 240: every line is in the tail
+    ])
+    def test_seven_folds(self, log_lines, spill_dir, cut, per_chunk,
+                         workers):
+        server = _in_memory(log_lines, per_chunk, flush=cut != "tail")
+        tail_from = N_LINES - N_LINES % per_chunk if cut == "tail" \
+            else N_LINES
+        cuts = [N_LINES * k // workers for k in range(1, workers)]
+        assert {"boundary": all(c % per_chunk == 0 for c in cuts),
+                "mid-chunk": not any(c % per_chunk == 0 or c >= tail_from
+                                     for c in cuts),
+                "tail": any(c > tail_from for c in cuts)}[cut]
+        with no_leftovers():
+            single = _outcome(server, 1)
+            assert _outcome(server, workers) == single
+        assert single == _outcome(spill_dir, 1)
+
+    def test_fewer_lines_than_two_ranges(self, log_lines):
+        with forced(3) as forks, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(streaming, "_MIN_RANGE_LINES", N_LINES // 2 + 1)
+            fold_log(_in_memory(log_lines, 100), *_folds())
+        assert forks == []
+
+    def test_a_second_thread(self, log_lines):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            with forced(3) as forks:
+                fold_log(_in_memory(log_lines, 100), *_folds())
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+
+    def test_a_killed_worker_fails_the_pass(self, log_lines):
+        real_fork = os.fork
+
+        def fork_and_kill():
+            pid = real_fork()
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+            return pid
+
+        server = _in_memory(log_lines, 100, flush=False)
+        with no_leftovers(), forced(3), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "fork", fork_and_kill)
+            with pytest.raises(RuntimeError, match=re.escape(
+                    "the fold worker for lines [160, 320) of an in-memory "
+                    "log exited without its result")):
+                fold_log(server, *_folds())
+
+
 class TestSinglePassKept:
     """Where ``fold_log`` must not fork, it does not."""
 
     def test_logs_not_read_through_a_log_reader(self, log_lines, tmp_path):
+        # a LogServer over either sink has a range reader and is split
+        # (above); a source without one -- parsed reports, anything that
+        # only yields entries, a LogServer over a sink that does -- is
+        # folded in one pass, to the same results
         spilled = LogServer.loads(log_lines, sink=SpillSink(
             tmp_path / "log", lines_per_chunk=100))
-        for source in (LogServer.loads(log_lines), spilled,
-                       list(spilled.reports())):
+        expected = [_exact(r) for r in fold_log(spilled, *_folds())]
+
+        class EntriesOnly:
+            def iter_entries(self):
+                return spilled.iter_entries()
+
+            def __len__(self):
+                return len(spilled)
+
+        for source in (list(spilled.reports()), EntriesOnly(),
+                       LogServer(sink=EntriesOnly())):
             with forced(3) as forks:
-                fold_log(source, *_folds())
+                results = fold_log(source, *_folds())
             assert forks == []
+            assert [_exact(r) for r in results] == expected
 
     def test_fewer_lines_than_two_ranges(self, spill_dir):
         with forced(3) as forks, pytest.MonkeyPatch.context() as mp:

@@ -114,6 +114,64 @@ class TestNetEndToEnd:
         assert metrics["concurrent_users"] >= 9
 
 
+class TestLogOrder:
+    def test_an_out_of_order_in_memory_log_is_rebuilt_sorted(self,
+                                                             monkeypatch):
+        # frames from independent connections land slightly out of order;
+        # the backend rebuilds its in-memory log in arrival order, stable
+        # among entries whose .3f times tie
+        from repro.telemetry.reports import QoSReport
+        from repro.telemetry.sink import SPILL_ENV_VAR, MemorySink
+
+        monkeypatch.delenv(SPILL_ENV_VAR, raising=False)
+        backend = NetBackend(tiny_scenario(), seed=0)
+        log = backend.system.log
+        log.sink = MemorySink(lines_per_chunk=2)
+        for node_id, arrival in enumerate((3.0, 1.0, 2.0004, 2.0001, 0.5)):
+            log.receive_report(arrival, QoSReport(
+                time=arrival, node_id=node_id, user_id=0, session_id=0))
+        backend._order_log()
+        assert backend.log is log and isinstance(log.sink, MemorySink)
+        assert log.sink.lines_per_chunk == 2
+        assert [r.node_id for r in log.reports()] == [4, 1, 2, 3, 0]
+        assert [e.arrival_time for e in log.iter_entries()] == \
+               [0.5, 1.0, 2.0, 2.0, 3.0]
+        log.receive_report(4.0, QoSReport(time=4.0, node_id=5, user_id=0,
+                                          session_id=0))
+        assert len(log) == 6
+
+    def test_an_ordered_log_is_left_as_it_is(self, monkeypatch):
+        from repro.telemetry.reports import QoSReport
+        from repro.telemetry.sink import SPILL_ENV_VAR
+
+        monkeypatch.delenv(SPILL_ENV_VAR, raising=False)
+        backend = NetBackend(tiny_scenario(), seed=0)
+        log = backend.system.log
+        for node_id, arrival in enumerate((0.5, 1.0, 1.0, 2.0)):
+            log.receive_report(arrival, QoSReport(
+                time=arrival, node_id=node_id, user_id=0, session_id=0))
+        sink = log.sink
+        backend._order_log()
+        assert log.sink is sink and len(log) == 4
+
+    def test_a_closed_log_stays_closed(self, monkeypatch):
+        from repro.telemetry.reports import QoSReport
+        from repro.telemetry.sink import SPILL_ENV_VAR
+
+        monkeypatch.delenv(SPILL_ENV_VAR, raising=False)
+        backend = NetBackend(tiny_scenario(), seed=0)
+        log = backend.system.log
+        for arrival in (2.0, 1.0):
+            log.receive_report(arrival, QoSReport(
+                time=arrival, node_id=1, user_id=0, session_id=0))
+        log.close()
+        backend._order_log()
+        assert [e.arrival_time for e in log.iter_entries()] == [1.0, 2.0]
+        with pytest.raises(ValueError, match="closed"):
+            log.receive_report(3.0, QoSReport(time=3.0, node_id=1,
+                                              user_id=0, session_id=0))
+
+
 class TestBackendRegistry:
     def test_net_engine_registered(self):
         assert set(available_engines()) >= {"detailed", "fast", "net"}
