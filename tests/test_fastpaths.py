@@ -184,19 +184,22 @@ class TestHeapCompaction:
 
 
 class TestTimerBucketing:
-    def test_same_cadence_tasks_share_one_heap_entry(self):
+    """Periodic tasks on one cadence: each task keeps its own heap event,
+    and tasks sharing a ``(period, phase)`` fire in registration order."""
+
+    def test_same_cadence_tasks_each_own_one_heap_entry(self):
         eng = Engine()
         fired = []
         tasks = [PeriodicTask(eng, 5.0, lambda i=i: fired.append(i))
                  for i in range(10)]
-        assert len(eng) == 1  # one shared entry, not ten
+        assert len(eng) == 10  # one pending event per task
         eng.run(until=5.0)
         assert fired == list(range(10))  # members fire in registration order
         assert tasks[0].period == 5.0
 
     def test_bucketed_order_equals_per_task_event_order(self):
-        """Bucketing is an optimization: the observable firing sequence must
-        match what individually scheduled per-task events would produce."""
+        """The firing sequence of periodic tasks must match what
+        individually scheduled, self-re-arming events produce."""
         periods = [2.0, 3.0, 2.0, 5.0, 3.0, 2.0]
         horizon = 30.0
 
@@ -224,18 +227,17 @@ class TestTimerBucketing:
         for t in tasks:
             t.stop()
 
-    def test_phase_collision_merges_buckets(self):
+    def test_phase_collision_keeps_per_task_order(self):
         eng = Engine()
         log = []
         PeriodicTask(eng, 4.0, lambda: log.append("a"))  # fires 4, 8, ...
         PeriodicTask(eng, 4.0, lambda: log.append("b"),
                      first_delay=8.0)                    # fires 8, 12, ...
         eng.run(until=12.0)
-        # at t=8 a's re-registration collides with b's initial bucket and
-        # merges into it; b keeps priority (its event has the older seq,
-        # exactly as per-task events would order it)
+        # at t=8 a's re-armed event and b's first one meet; b keeps
+        # priority (its event has the older seq)
         assert log == ["a", "b", "a", "b", "a"]
-        assert len(eng) == 1  # still a single merged heap entry
+        assert len(eng) == 2  # each task's next firing, at t=16
 
     def test_member_stopped_mid_firing_does_not_fire(self):
         eng = Engine()
@@ -254,7 +256,7 @@ class TestTimerBucketing:
     def test_stopping_all_members_drops_heap_entry(self):
         eng = Engine()
         tasks = [PeriodicTask(eng, 7.0, lambda: None) for _ in range(3)]
-        assert len(eng) == 1
+        assert len(eng) == 3
         for t in tasks:
             t.stop()
         assert len(eng) == 0

@@ -12,6 +12,8 @@ design; :meth:`MetricsRegistry.counter_values` carves out the subset
 these tests compare.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,13 @@ def _reference_run(seed):
     return outcome
 
 
+def _session(tier, tmp_path):
+    """A metrics-only session, or one that also writes a Chrome trace."""
+    if tier == "traced":
+        return obs.session(trace_path=str(tmp_path / "trace.json"))
+    return obs.session()
+
+
 def _fastsim_run(seed):
     cfg = SystemConfig(n_servers=2)
     sim = FastSimulation(cfg, seed=seed, capacity_hint=256)
@@ -55,9 +64,11 @@ def _fastsim_run(seed):
 
 
 class TestObsDoesNotPerturb:
-    def test_reference_engine_identical_with_and_without_obs(self):
+    @pytest.mark.parametrize("tier", ["metrics", "traced"])
+    def test_reference_engine_identical_with_and_without_obs(self, tier,
+                                                              tmp_path):
         plain = _reference_run(seed=11)
-        with obs.session():
+        with _session(tier, tmp_path):
             observed = _reference_run(seed=11)
         assert observed == plain
 
@@ -66,6 +77,30 @@ class TestObsDoesNotPerturb:
         with obs.session():
             observed = _fastsim_run(seed=11)
         assert observed == plain
+
+
+class TestTracedTier:
+    """A tracing session times every event and emits one span for each;
+    its counters are exactly those of a metrics-only session."""
+
+    def test_traced_and_metrics_only_counters_equal(self, tmp_path):
+        values = {}
+        for tier in ("metrics", "traced"):
+            with _session(tier, tmp_path) as ctx:
+                _reference_run(seed=4)
+                values[tier] = ctx.registry.counter_values()
+        assert values["traced"]["engine.events_executed"] > 0
+        assert values["traced"] == values["metrics"]
+
+    def test_one_engine_span_per_event(self, tmp_path):
+        with _session("traced", tmp_path) as ctx:
+            outcome = _reference_run(seed=4)
+            executed = ctx.registry.counter_values()["engine.events_executed"]
+        trace = json.loads((tmp_path / "trace.json").read_text())
+        assert trace["otherData"]["dropped_events"] == 0
+        spans = [e for e in trace["traceEvents"]
+                 if e["ph"] == "X" and e["cat"] == "engine"]
+        assert len(spans) == executed == outcome["events"]
 
 
 class TestCountersAreDeterministic:
