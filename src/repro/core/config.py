@@ -92,53 +92,54 @@ class SystemConfig:
     nat_traversal_prob: float = 0.02    # rare NAT<->NAT "random links"
 
     def __post_init__(self) -> None:
-        if self.stream_rate_bps <= 0:
+        # every check is written so that NaN fails it
+        if not self.stream_rate_bps > 0:
             raise ValueError("stream_rate_bps must be positive")
-        if self.n_substreams < 1:
+        if not self.n_substreams >= 1:
             raise ValueError("n_substreams must be >= 1")
-        if self.buffer_seconds <= 0:
+        if not self.buffer_seconds > 0:
             raise ValueError("buffer_seconds must be positive")
-        if self.ts_seconds <= 0 or self.tp_seconds <= 0:
+        if not (self.ts_seconds > 0 and self.tp_seconds > 0):
             raise ValueError("T_s and T_p must be positive")
-        if self.ta_seconds < 0:
+        if not self.ta_seconds >= 0:
             raise ValueError("T_a must be non-negative")
         if not (0 < self.target_partners <= self.max_partners):
             raise ValueError("need 0 < target_partners <= max_partners")
-        if self.mcache_size < self.bootstrap_sample:
+        if not self.mcache_size >= self.bootstrap_sample:
             raise ValueError("mcache_size must hold a bootstrap sample")
-        if self.gossip_period_s <= 0 or self.bm_exchange_period_s <= 0:
+        if not (self.gossip_period_s > 0 and self.bm_exchange_period_s > 0):
             raise ValueError("gossip/buffer-map periods must be positive")
-        if self.gossip_fanout < 1:
+        if not self.gossip_fanout >= 1:
             raise ValueError("gossip_fanout must be >= 1")
-        if self.delivery_interval_s <= 0:
+        if not self.delivery_interval_s > 0:
             raise ValueError("delivery_interval_s must be positive")
-        if self.playout_delay_s < 0:
+        if not self.playout_delay_s >= 0:
             raise ValueError("playout_delay_s must be non-negative")
-        if self.join_patience_s <= 0:
+        if not self.join_patience_s > 0:
             raise ValueError("join_patience_s must be positive")
-        if self.max_join_retries < 0:
+        if not self.max_join_retries >= 0:
             raise ValueError("max_join_retries must be non-negative")
-        if self.retry_backoff_s < 0:
+        if not self.retry_backoff_s >= 0:
             raise ValueError("retry_backoff_s must be non-negative")
-        if self.stall_window_s <= 0:
+        if not self.stall_window_s > 0:
             raise ValueError("stall_window_s must be positive")
         if not (0.0 <= self.stall_exit_continuity <= 1.0):
             raise ValueError("stall_exit_continuity must be a fraction")
-        if self.status_report_period_s <= 0:
+        if not self.status_report_period_s > 0:
             raise ValueError("status_report_period_s must be positive")
-        if self.n_servers < 0:
+        if not self.n_servers >= 0:
             raise ValueError("n_servers must be non-negative")
-        if self.server_upload_bps <= 0 or self.source_upload_bps <= 0:
+        if not (self.server_upload_bps > 0 and self.source_upload_bps > 0):
             raise ValueError("server/source upload rates must be positive")
-        if self.server_max_partners < 1:
+        if not self.server_max_partners >= 1:
             raise ValueError("server_max_partners must be >= 1")
-        if self.player_buffer_s <= 0:
+        if not self.player_buffer_s > 0:
             raise ValueError("player_buffer_s must be positive")
-        if self.tp_seconds >= self.buffer_seconds:
+        if not self.tp_seconds < self.buffer_seconds:
             raise ValueError("T_p must be smaller than the buffer span")
         if self.delivery_mode not in ("push", "pull"):
             raise ValueError(f"unknown delivery_mode {self.delivery_mode!r}")
-        if self.pull_horizon_s <= 0 or self.pull_timeout_s <= 0:
+        if not (self.pull_horizon_s > 0 and self.pull_timeout_s > 0):
             raise ValueError("pull parameters must be positive")
         if self.initial_offset_mode not in ("tp", "latest", "oldest"):
             raise ValueError(f"unknown initial_offset_mode {self.initial_offset_mode!r}")

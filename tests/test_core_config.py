@@ -1,5 +1,7 @@
 """Unit tests for SystemConfig (Table I) validation and derived values."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import SystemConfig
@@ -47,6 +49,14 @@ class TestValidation:
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):
             SystemConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", [
+        f.name for f in dataclasses.fields(SystemConfig)
+        if type(f.default) in (int, float)
+    ])
+    def test_nan_rejected_for_every_numeric_field(self, field):
+        with pytest.raises(ValueError):
+            SystemConfig().with_overrides(**{field: float("nan")})
 
     def test_target_partners_bounded_by_max(self):
         with pytest.raises(ValueError):

@@ -31,6 +31,22 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Engine().schedule(-1.0, lambda: None)
 
+    @pytest.mark.parametrize("call", [
+        lambda eng: eng.schedule(float("nan"), lambda: None),
+        lambda eng: eng.schedule_at(float("nan"), lambda: None),
+        lambda eng: eng.run(until=float("nan")),
+    ], ids=["schedule", "schedule_at", "run_until"])
+    def test_nan_time_rejected(self, call):
+        eng = Engine()
+        fired = []
+        eng.schedule(2.0, lambda: fired.append(eng.now))
+        eng.schedule(3.0, lambda: fired.append(eng.now))
+        with pytest.raises(SimulationError):
+            call(eng)
+        eng.run()
+        assert fired == [2.0, 3.0]
+        assert eng.now == 3.0
+
     def test_schedule_at_past_rejected(self):
         eng = Engine(start_time=10.0)
         with pytest.raises(SimulationError):
@@ -238,6 +254,17 @@ class TestPeriodicTask:
     def test_zero_period_rejected(self):
         with pytest.raises(SimulationError):
             PeriodicTask(Engine(), 0.0, lambda: None)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"period": float("nan")},
+        {"period": 1.0, "first_delay": float("nan")},
+    ], ids=["period", "first_delay"])
+    def test_nan_timing_rejected(self, kwargs):
+        eng = Engine()
+        period = kwargs.pop("period")
+        with pytest.raises(SimulationError):
+            PeriodicTask(eng, period, lambda: None, **kwargs)
+        assert len(eng) == 0
 
     def test_jitter_requires_rng(self):
         with pytest.raises(SimulationError):
