@@ -31,9 +31,9 @@ Usage::
 ``--smoke`` measures the cheap points only, does NOT rewrite
 ``BENCH_obs.json``, and fails (exit 1) when either tripwire fires:
 
-* enabled-mode kernel overhead above ``--max-overhead`` (default 2.0x —
-  the committed full-mode figure is the trend signal; the smoke gate
-  only catches a return of per-event instrumentation), or
+* enabled-mode kernel overhead above ``MAX_OVERHEAD`` (2.0x — the
+  committed full-mode figure is the trend signal; the smoke gate only
+  catches a return of per-event instrumentation), or
 * either sink's ingest peak RSS above its zero-line point by more than
   ``MAX_BYTES_PER_LINE`` per ingested line.
 """
@@ -69,6 +69,11 @@ INGEST_LINES_SMOKE = 300_000
 #: chunks stay resident; both pay one tail of up to 50k rendered lines);
 #: an in-memory store of one ``LogEntry`` per line measured 232 B/line.
 MAX_BYTES_PER_LINE = 100
+#: --smoke tripwire: metrics-session / obs-off wall ratio of the no-op
+#: kernel micro above.  The instrumented loop batches its counters and
+#: times one event in 64, so it sits well below; per-event
+#: instrumentation measured ~2.8x.
+MAX_OVERHEAD = 2.0
 
 
 def _peak_rss_mb() -> float:
@@ -265,9 +270,6 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="cheap points + tripwires only; does not "
                              "rewrite BENCH_obs.json")
-    parser.add_argument("--max-overhead", type=float, default=2.0,
-                        help="max tolerated enabled/disabled kernel wall "
-                             "ratio in --smoke mode (default 2.0)")
     parser.add_argument("--out", type=Path, default=BENCH_JSON,
                         help="output path for the full-sweep JSON")
     parser.add_argument("--child", metavar="SPEC", default=None,
@@ -305,10 +307,10 @@ def main(argv=None) -> int:
 
     if args.smoke:
         failures = []
-        if overhead > args.max_overhead:
+        if overhead > MAX_OVERHEAD:
             failures.append(
                 f"kernel overhead {overhead:.2f}x exceeds "
-                f"{args.max_overhead:.2f}x")
+                f"{MAX_OVERHEAD:.2f}x")
         for mode, row in ingest.items():
             if row["bytes_per_line"] > MAX_BYTES_PER_LINE:
                 failures.append(
