@@ -17,7 +17,7 @@ import heapq
 import io
 import itertools
 from operator import attrgetter
-from typing import Iterable, Iterator, List, Optional, TextIO
+from typing import Iterable, Iterator, List, Optional, Sequence, TextIO
 
 from repro.telemetry.reports import Report, decode_report
 from repro.telemetry.sink import LogEntry, LogSink, MemorySink, default_sink
@@ -57,6 +57,19 @@ class LogServer:
     def receive_report(self, arrival_time: float, report: Report) -> None:
         """Convenience: encode and store a report object."""
         self.sink.write(arrival_time, report.to_log_string())
+
+    def receive_lines(self, arrival_time: float,
+                      log_strings: Sequence[str]) -> None:
+        """Store encoded reports that arrive together, in order; trusted
+        like :meth:`receive_report`'s.  One ``write_many`` on a sink that
+        has it, a ``write`` per line otherwise."""
+        write_many = getattr(self.sink, "write_many", None)
+        if write_many is not None:
+            write_many(arrival_time, log_strings)
+            return
+        write = self.sink.write
+        for log_string in log_strings:
+            write(arrival_time, log_string)
 
     def flush(self) -> None:
         """Rotate the sink's live tail into a chunk (a spill sink's to
