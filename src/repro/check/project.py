@@ -428,7 +428,8 @@ class _Harvester(ast.NodeVisitor):
                 rc.attrs.append(stmt.name)
                 if stmt.name in ("to_params", "_header"):
                     _collect_param_writes(stmt, rc.param_writes)
-                elif stmt.name in ("to_log_string", "_header_str"):
+                elif stmt.name in ("to_log_string", "_header_strs",
+                                   "log_strings"):
                     _collect_wire_writes(stmt, rc.wire_writes)
                 elif stmt.name == "from_params":
                     _collect_param_reads(stmt, rc.param_reads)

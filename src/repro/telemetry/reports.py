@@ -18,7 +18,8 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Optional, Pattern, Tuple, Type
+from typing import (ClassVar, Dict, List, Optional, Pattern, Sequence,
+                    Tuple, Type)
 from urllib.parse import quote
 
 from .logstring import LOG_PATH, decode_log_string, encode_log_string
@@ -104,19 +105,24 @@ class Report:
     def to_log_string(self) -> str:
         """Encode straight to the wire log string.
 
-        Always equals ``encode_log_string(self.to_params())``; subclasses
-        whose fields are unreserved-only override this with a direct
-        f-string build -- reports are emitted millions of times at
-        paper scale, and skipping the dict round-trip is a measurable
-        win on the simulation hot path.
+        Always equals ``encode_log_string(self.to_params())``; each
+        subclass renders its fields with the one f-string of its
+        ``log_strings`` -- reports are emitted millions of times at paper
+        scale, and skipping the dict round-trip is a measurable win on
+        the simulation hot path.
         """
         return encode_log_string(self.to_params())
 
-    def _header_str(self) -> str:
+    @classmethod
+    def _header_strs(cls, time: float, nodes: Sequence[int],
+                     users: Sequence[int],
+                     sessions: Sequence[int]) -> List[str]:
+        """The wire header of each report of a batch sent at ``time``;
+        the prefix up to the node id is formatted once."""
         # the f-string twin of _header() -- keep the two in sync
-        return (f"{LOG_PATH}?type={self.TYPE}&t={self.time:.3f}"
-                f"&node={self.node_id}&user={self.user_id}"
-                f"&sess={self.session_id}")
+        head = f"{LOG_PATH}?type={cls.TYPE}&t={time:.3f}&node="
+        return [f"{head}{node}&user={user}&sess={session}"
+                for node, user, session in zip(nodes, users, sessions)]
 
 
 @dataclass(frozen=True)
@@ -140,13 +146,30 @@ class ActivityReport(Report):
             params["why"] = self.reason.value
         return params
 
+    @classmethod
+    def log_strings(cls, time: float, nodes: Sequence[int],
+                    users: Sequence[int], sessions: Sequence[int],
+                    event: ActivityEvent, attempts: Sequence[int],
+                    publics: Sequence[bool],
+                    reason: Optional[LeaveReason] = None) -> List[str]:
+        """The wire log strings of one ``event`` (and leave ``reason``)
+        reported by a batch of peers at ``time``, one per row of the
+        field columns: row ``i`` is ``encode_log_string(to_params())`` of
+        the report built from the columns' ``i``-th values."""
+        ev = event.value
+        why = "" if reason is None else f"&why={reason.value}"
+        return [f"{header}&ev={ev}&try={attempt}&pub={'1' if public else '0'}"
+                f"{why}"
+                for header, attempt, public in zip(
+                    cls._header_strs(time, nodes, users, sessions),
+                    attempts, publics)]
+
     def to_log_string(self) -> str:
         """Direct wire encoding (== ``encode_log_string(to_params())``)."""
-        s = (f"{self._header_str()}&ev={self.event.value}"
-             f"&try={self.attempt}&pub={'1' if self.address_public else '0'}")
-        if self.reason is not None:
-            s = f"{s}&why={self.reason.value}"
-        return s
+        return self.log_strings(
+            self.time, (self.node_id,), (self.user_id,), (self.session_id,),
+            self.event, (self.attempt,), (self.address_public,),
+            self.reason)[0]
 
     @classmethod
     def from_params(cls, p: Dict[str, str]) -> "ActivityReport":
@@ -197,12 +220,29 @@ class QoSReport(Report):
         params["play"] = "1" if self.playing else "0"
         return params
 
+    @classmethod
+    def log_strings(cls, time: float, nodes: Sequence[int],
+                    users: Sequence[int], sessions: Sequence[int],
+                    continuity: Sequence[Optional[float]],
+                    buffered_seconds: Sequence[float],
+                    n_parents: Sequence[int],
+                    playing: Sequence[bool]) -> List[str]:
+        """The wire log strings of a batch of reports sent at ``time``, one
+        per row of the field columns: row ``i`` is
+        ``encode_log_string(to_params())`` of the report built from the
+        columns' ``i``-th values."""
+        return [f"{header}{'' if ci is None else f'&ci={ci:.5f}'}"
+                f"&buf={buf:.2f}&par={par}&play={'1' if play else '0'}"
+                for header, ci, buf, par, play in zip(
+                    cls._header_strs(time, nodes, users, sessions),
+                    continuity, buffered_seconds, n_parents, playing)]
+
     def to_log_string(self) -> str:
         """Direct wire encoding (== ``encode_log_string(to_params())``)."""
-        ci = "" if self.continuity is None else f"&ci={self.continuity:.5f}"
-        return (f"{self._header_str()}{ci}"
-                f"&buf={self.buffered_seconds:.2f}&par={self.n_parents}"
-                f"&play={'1' if self.playing else '0'}")
+        return self.log_strings(
+            self.time, (self.node_id,), (self.user_id,), (self.session_id,),
+            (self.continuity,), (self.buffered_seconds,), (self.n_parents,),
+            (self.playing,))[0]
 
     @classmethod
     def from_params(cls, p: Dict[str, str]) -> "QoSReport":
@@ -248,11 +288,28 @@ class TrafficReport(Report):
         params["tdown"] = f"{self.total_down:.0f}"
         return params
 
+    @classmethod
+    def log_strings(cls, time: float, nodes: Sequence[int],
+                    users: Sequence[int], sessions: Sequence[int],
+                    bytes_up: Sequence[float], bytes_down: Sequence[float],
+                    total_up: Sequence[float],
+                    total_down: Sequence[float]) -> List[str]:
+        """The wire log strings of a batch of reports sent at ``time``, one
+        per row of the field columns: row ``i`` is
+        ``encode_log_string(to_params())`` of the report built from the
+        columns' ``i``-th values."""
+        return [f"{header}&up={up:.0f}&down={down:.0f}&tup={tup:.0f}"
+                f"&tdown={tdown:.0f}"
+                for header, up, down, tup, tdown in zip(
+                    cls._header_strs(time, nodes, users, sessions),
+                    bytes_up, bytes_down, total_up, total_down)]
+
     def to_log_string(self) -> str:
         """Direct wire encoding (== ``encode_log_string(to_params())``)."""
-        return (f"{self._header_str()}&up={self.bytes_up:.0f}"
-                f"&down={self.bytes_down:.0f}&tup={self.total_up:.0f}"
-                f"&tdown={self.total_down:.0f}")
+        return self.log_strings(
+            self.time, (self.node_id,), (self.user_id,), (self.session_id,),
+            (self.bytes_up,), (self.bytes_down,), (self.total_up,),
+            (self.total_down,))[0]
 
     @classmethod
     def from_params(cls, p: Dict[str, str]) -> "TrafficReport":
@@ -329,10 +386,25 @@ class PartnerReport(Report):
             params["pev"] = "|".join(e.encode() for e in self.events)
         return params
 
+    @classmethod
+    def log_strings(cls, time: float, nodes: Sequence[int],
+                    users: Sequence[int], sessions: Sequence[int],
+                    n_partners: Sequence[int], n_incoming: Sequence[int],
+                    n_outgoing: Sequence[int]) -> List[str]:
+        """The wire log strings of a batch of event-free reports sent at
+        ``time``, one per row of the field columns: row ``i`` is
+        ``encode_log_string(to_params())`` of the report built from the
+        columns' ``i``-th values."""
+        return [f"{header}&np={np_}&nin={nin}&nout={nout}"
+                for header, np_, nin, nout in zip(
+                    cls._header_strs(time, nodes, users, sessions),
+                    n_partners, n_incoming, n_outgoing)]
+
     def to_log_string(self) -> str:
         """Direct wire encoding (== ``encode_log_string(to_params())``)."""
-        s = (f"{self._header_str()}&np={self.n_partners}"
-             f"&nin={self.n_incoming}&nout={self.n_outgoing}")
+        s = self.log_strings(
+            self.time, (self.node_id,), (self.user_id,), (self.session_id,),
+            (self.n_partners,), (self.n_incoming,), (self.n_outgoing,))[0]
         if self.events:
             # the event tokens carry ":" / "|" separators, which the
             # codec percent-encodes -- mirror it exactly

@@ -170,3 +170,18 @@ def test_fixture_directory_is_skipped_by_directory_expansion():
     files = iter_python_files([str(Path(__file__).parent)])
     assert files, "expected test files"
     assert not any("check_fixtures" in str(f) for f in files)
+
+
+def test_sch001_sees_the_wire_keys_of_a_column_renderer():
+    # the keys a report puts on the wire are harvested from log_strings
+    # too: a key it drops is twin drift against to_params
+    findings = check_fixture("sch001_log_strings_drift.py")
+    assert [f.rule for f in findings] == ["SCH001"]
+    assert "'lag'" in findings[0].message
+    assert "twin drift" in findings[0].message
+    source = (FIXTURES / "sch001_log_strings_drift.py").read_text(
+        encoding="utf-8")
+    mended = source.replace('f"{head}&node={node}"',
+                            'f"{head}&node={node}&lag={lag:.3f}"')
+    assert mended != source
+    assert check_source(mended, path=VIRTUAL) == []

@@ -1,5 +1,6 @@
 """Round-trip tests for every report type."""
 
+from unittest import mock
 from urllib.parse import parse_qsl
 
 import pytest
@@ -150,6 +151,42 @@ class TestDispatch:
             assert back.continuity == pytest.approx(cont, abs=1e-4)
 
 
+_INTS = st.integers(-10**12, 10**18)
+_FLOATS = (st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from([0.0, 1.0, -0.0, 1e300, -1e300, 5e-4]))
+
+
+def _batch_of(cls, time, rows, event, reason):
+    """``cls.log_strings`` over the columns of ``rows``, and the report
+    each row stands for."""
+    width = {ActivityReport: 5, QoSReport: 7, TrafficReport: 7,
+             PartnerReport: 6}[cls]
+    columns = [list(c) for c in zip(*rows)] or [[] for _ in range(width)]
+    if cls is ActivityReport:
+        lines = cls.log_strings(time, *columns[:3], event, *columns[3:],
+                                reason)
+        reports = [cls(time, *row[:3], event, *row[3:], reason)
+                   for row in rows]
+    elif cls is PartnerReport:
+        lines = cls.log_strings(time, *columns)
+        reports = [cls(time, *row[:3], (), *row[3:]) for row in rows]
+    else:
+        lines = cls.log_strings(time, *columns)
+        reports = [cls(time, *row) for row in rows]
+    return lines, reports
+
+
+_HEADER_ROW = (_INTS, _INTS, _INTS)
+_ROWS = {
+    ActivityReport: st.tuples(*_HEADER_ROW, _INTS, st.booleans()),
+    QoSReport: st.tuples(*_HEADER_ROW, st.none() | _FLOATS, _FLOATS, _INTS,
+                         st.booleans()),
+    TrafficReport: st.tuples(*_HEADER_ROW, _FLOATS, _FLOATS, _FLOATS,
+                             _FLOATS),
+    PartnerReport: st.tuples(*_HEADER_ROW, _INTS, _INTS, _INTS),
+}
+
+
 class TestFastWireEncoding:
     """`to_log_string` fast paths must be bit-identical to the codec."""
 
@@ -217,6 +254,33 @@ class TestFastWireEncoding:
                            address_public=pub, reason=reason)
         assert r.to_log_string() == encode_log_string(r.to_params())
 
+    @pytest.mark.parametrize("cls", list(_ROWS), ids=lambda c: c.__name__)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_log_strings_render_each_row_as_its_report(self, cls, data):
+        """Row ``i`` of ``log_strings`` is the codec's encoding of the
+        report built from row ``i`` of the columns -- ``ci`` absent,
+        ``nan``, ``inf``, ``-0.0``, 18-digit ints, bools -- and decodes,
+        through the positional path, to what the wire keeps of it."""
+        from repro.telemetry import reports as reports_mod
+
+        time = data.draw(_FLOATS)
+        rows = data.draw(st.lists(_ROWS[cls], max_size=6))
+        event = data.draw(st.sampled_from(list(ActivityEvent)))
+        reason = data.draw(st.none() | st.sampled_from(list(LeaveReason)))
+        lines, reports = _batch_of(cls, time, rows, event, reason)
+        assert len(lines) == len(reports) == len(rows)
+        kept = [parse_report(r.to_params()) for r in reports]
+        for line, report in zip(lines, reports):
+            assert line == encode_log_string(report.to_params())
+            assert line == report.to_log_string()
+            assert cls._WIRE.fullmatch(line) is not None
+        with mock.patch.object(reports_mod, "decode_log_string",
+                               side_effect=AssertionError("general path")):
+            decoded = [decode_report(line) for line in lines]
+        assert [(type(r), repr(r)) for r in decoded] == \
+            [(type(r), repr(r)) for r in kept]
+
 
 def _general(log_string):
     """The general decode path, and the oracle for ``decode_report``."""
@@ -234,9 +298,6 @@ def _outcome(decode, log_string):
     return type(report), repr(report)
 
 
-_INTS = st.integers(-10**12, 10**18)
-_FLOATS = (st.floats(allow_nan=True, allow_infinity=True)
-           | st.sampled_from([0.0, 1.0, -0.0, 1e300, -1e300, 5e-4]))
 _HEADER = dict(time=_FLOATS, node_id=_INTS, user_id=_INTS, session_id=_INTS)
 _PARTNER_EVENTS = st.lists(
     st.builds(PartnerEvent, time=st.floats(-1e9, 1e9),
