@@ -1,5 +1,7 @@
 """Tests for the vectorized engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,15 @@ class TestSetup:
             FastSimConfig(join_overhead_s=-0.1)
         with pytest.raises(ValueError):
             FastSimConfig(max_children_factor=0)
+
+    @pytest.mark.parametrize("field", [
+        f.name for f in dataclasses.fields(FastSimConfig)
+        if type(f.default) in (int, float)
+    ])
+    def test_nan_rejected_for_every_numeric_field(self, field):
+        # a NaN step length used to pass and crash the first step
+        with pytest.raises(ValueError, match=field):
+            FastSimConfig(**{field: float("nan")})
 
     def test_misaligned_arrivals_rejected(self):
         sim = make_sim()

@@ -16,6 +16,7 @@ test_crossvalidation.py; here the three-way parity run is one small
 end-to-end scenario so the suite stays fast.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -77,6 +78,14 @@ class TestConfigValidation:
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             MeanFieldConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", [
+        f.name for f in dataclasses.fields(MeanFieldConfig)
+        if type(f.default) in (int, float)
+    ])
+    def test_nan_rejected_for_every_numeric_field(self, field):
+        with pytest.raises(ValueError, match=field):
+            MeanFieldConfig(**{field: float("nan")})
 
     def test_defaults_valid(self):
         cfg = MeanFieldConfig()
