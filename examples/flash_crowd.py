@@ -14,6 +14,7 @@ Run:  python examples/flash_crowd.py
 
 from repro.analysis import Cdf, SessionTable
 from repro.core.config import SystemConfig
+from repro.runtime import run_scenario
 from repro.workload import flash_crowd_storm
 
 
@@ -22,7 +23,8 @@ def run_once(mcache_replacement: str, seed: int = 7):
     scenario = flash_crowd_storm(
         burst_users_per_s=1.5, horizon_s=600.0, n_servers=2, cfg=cfg
     )
-    system, population = scenario.run(seed=seed)
+    res = run_scenario(scenario, seed=seed, engine="detailed")
+    system, population = res.system, res.population
     table = SessionTable.from_log(system.log)
     ready = table.ready_delays()
     return {

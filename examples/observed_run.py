@@ -21,6 +21,7 @@ from pathlib import Path
 
 import repro.obs as obs
 from repro.core.config import SystemConfig
+from repro.runtime import run_scenario
 from repro.workload import flash_crowd_storm
 
 
@@ -42,7 +43,8 @@ def main() -> None:
         scenario="flash_crowd_example",
         seed=7,
     ) as ctx:
-        system, population = scenario.run(seed=7)
+        res = run_scenario(scenario, seed=7, engine="detailed")
+        system, population = res.system, res.population
         snapshot = ctx.registry.snapshot()
 
     # --- what got written -------------------------------------------------

@@ -13,18 +13,16 @@ Usage::
 content-addressed store; ``--force`` re-executes everything, ``--resume``
 requires a prior journal for the same campaign (the crash-recovery
 workflow: identical spec, only missing runs execute).  Observability
-follows the PR-1 conventions: ``--metrics-out`` streams heartbeat
+follows the figure commands: ``--metrics-out`` streams heartbeat
 snapshots (runs completed/cached/failed gauges) as JSONL with a manifest
 sidecar, ``--progress`` prints campaign heartbeat lines to stderr.
 
-Exit codes: 0 success, 1 any failed run or backend-startup failure,
-2 bad spec / unknown experiment, 130 interrupted (shared convention
-with ``python -m repro`` and ``python -m repro parity``).
+Exit codes: 0 success, 1 any failed run, 2 bad spec / unknown
+experiment (README, "Command line").
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import sys
 
@@ -34,69 +32,16 @@ from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec, SpecError
 from repro.campaign.store import DEFAULT_STORE_DIR, ResultStore
 from repro.experiments.render import render_table
-from repro.runtime.backends import BackendStartupError
 
-__all__ = ["main"]
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro campaign",
-        description="Parallel experiment campaigns with content-addressed "
-                    "result caching and crash-safe resume.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="execute a campaign spec")
-    p_run.add_argument("spec", help="JSON campaign spec file")
-    p_run.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: cpu count; "
-                            "1 = in-process)")
-    p_run.add_argument("--store", default=DEFAULT_STORE_DIR,
-                       help="result store directory (default %(default)s)")
-    p_run.add_argument("--force", action="store_true",
-                       help="re-execute runs even when cached")
-    p_run.add_argument("--resume", action="store_true",
-                       help="continue a previously journalled campaign "
-                            "(error if none exists)")
-    p_run.add_argument("--timeout", type=float, default=None, metavar="S",
-                       help="per-run wall-clock timeout in seconds")
-    p_run.add_argument("--retries", type=int, default=2,
-                       help="max retries for transient failures "
-                            "(default %(default)s)")
-    p_run.add_argument("--backoff", type=float, default=0.5, metavar="S",
-                       help="base of the exponential retry backoff "
-                            "(default %(default)ss)")
-    p_run.add_argument("--out", default=None, metavar="PATH",
-                       help="write the figure-ready campaign JSON artifact")
-    p_run.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="write a JSONL metrics time series (plus "
-                            "*.manifest.json sidecar); view live with "
-                            "'python -m repro watch PATH'")
-    p_run.add_argument("--progress", action="store_true",
-                       help="print campaign heartbeat lines to stderr")
-    p_run.add_argument("--log-spill", default=None, metavar="DIR",
-                       help="spill every run's telemetry log to gzip chunks "
-                            "under DIR (storage-only; never enters run keys; "
-                            "overrides the spec's 'log_spill' key)")
-    p_run.add_argument("--quiet", action="store_true",
-                       help="suppress the per-run table on stdout")
-
-    p_status = sub.add_parser("status", help="show journalled campaigns")
-    p_status.add_argument("--store", default=DEFAULT_STORE_DIR)
-    p_status.add_argument("--follow", action="store_true",
-                          help="re-poll the journal until every campaign "
-                               "reaches a terminal state")
-    p_status.add_argument("--interval", type=float, default=2.0, metavar="S",
-                          help="poll interval with --follow "
-                               "(default %(default)ss)")
-
-    p_clean = sub.add_parser("clean", help="drop the store and journal")
-    p_clean.add_argument("--store", default=DEFAULT_STORE_DIR)
-    return parser
+__all__ = ["cmd_run", "cmd_status", "cmd_clean"]
 
 
-def _cmd_run(args) -> int:
+def _store(args) -> ResultStore:
+    return ResultStore(args.store or DEFAULT_STORE_DIR)
+
+
+def cmd_run(args) -> int:
+    """``campaign run`` (options in :mod:`repro.experiments.cli`)."""
     try:
         spec = CampaignSpec.from_file(args.spec)
     except SpecError as exc:
@@ -104,7 +49,7 @@ def _cmd_run(args) -> int:
         return 2
     if args.log_spill:
         spec.log_spill = args.log_spill
-    store = ResultStore(args.store)
+    store = _store(args)
 
     if args.resume:
         status = store.journal_status().get(spec.campaign_key)
@@ -140,9 +85,6 @@ def _cmd_run(args) -> int:
     except SpecError as exc:  # unknown experiment surfaces pre-execution
         print(f"error: bad spec: {exc}", file=sys.stderr)
         return 2
-    except BackendStartupError as exc:
-        print(f"error: backend startup: {exc}", file=sys.stderr)
-        return 1
 
     if args.out:
         write_metrics_json(report, args.out)
@@ -204,13 +146,14 @@ def _print_status(store: ResultStore, rows, n_objects) -> None:
     print(f"{n_objects} cached objects in {store.root}")
 
 
-def _cmd_status(args) -> int:
-    store = ResultStore(args.store)
-    if not getattr(args, "follow", False):
+def cmd_status(args) -> int:
+    """``campaign status``: one table, or re-rendered until terminal."""
+    store = _store(args)
+    if not args.follow:
         rows, n_objects, _ = _status_rows(store)
         _print_status(store, rows, n_objects)
         return 0
-    if args.interval <= 0:
+    if not args.interval > 0:
         print("error: status: --interval must be positive", file=sys.stderr)
         return 2
     # follow mode: re-render whenever the journal changes, stop once every
@@ -228,28 +171,9 @@ def _cmd_status(args) -> int:
         time.sleep(args.interval)  # repro: noqa[DET002] status-poll pacing, no simulation state
 
 
-def _cmd_clean(args) -> int:
-    store = ResultStore(args.store)
+def cmd_clean(args) -> int:
+    """``campaign clean``: drop the store and its journal."""
+    store = _store(args)
     n = store.clean()
     print(f"removed {n} cached objects (and the journal) from {store.root}")
     return 0
-
-
-def main(argv=None) -> int:
-    """Campaign CLI entry point; returns the process exit code."""
-    args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "status":
-            return _cmd_status(args)
-        if args.command == "clean":
-            return _cmd_clean(args)
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return 130
-    return 2  # pragma: no cover - argparse enforces the choices
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -22,22 +22,7 @@ import importlib
 from typing import Callable, Dict
 
 from repro.campaign.spec import SpecError
-from repro.experiments.figures import (
-    fig3_user_types_and_contribution,
-    fig4_overlay_structure,
-    fig5_user_evolution,
-    fig6_join_time_cdfs,
-    fig7_ready_time_by_period,
-    fig8_continuity_by_type,
-    fig9_rate_point,
-    fig9_scalability,
-    fig9_size_point,
-    fig10_sessions_and_retries,
-)
-from repro.experiments.model_validation import (
-    validate_convergence_model,
-    validate_dynamics_equations,
-)
+from repro.experiments import EXPERIMENTS, fig9_rate_point, fig9_size_point
 
 __all__ = ["CAMPAIGN_EXPERIMENTS", "UnknownExperimentError",
            "resolve_experiment", "experiment_ref"]
@@ -47,19 +32,12 @@ class UnknownExperimentError(SpecError):
     """The experiment reference cannot be resolved (CLI exit code 2)."""
 
 
+#: the command-line experiments (less ``table1``, which takes no seed)
+#: plus the single Fig. 9 sweep points a campaign grid fans out over
 CAMPAIGN_EXPERIMENTS: Dict[str, Callable] = {
-    "fig3": fig3_user_types_and_contribution,
-    "fig4": fig4_overlay_structure,
-    "fig5": fig5_user_evolution,
-    "fig6": fig6_join_time_cdfs,
-    "fig7": fig7_ready_time_by_period,
-    "fig8": fig8_continuity_by_type,
-    "fig9": fig9_scalability,
+    **{name: fn for name, fn in EXPERIMENTS.items() if name != "table1"},
     "fig9_size": fig9_size_point,
     "fig9_rate": fig9_rate_point,
-    "fig10": fig10_sessions_and_retries,
-    "model": validate_dynamics_equations,
-    "convergence": validate_convergence_model,
 }
 
 

@@ -10,7 +10,7 @@ Usage::
     python -m repro check --list-rules
 
 Exit codes: 0 clean (warn-only findings count as clean), 1 findings,
-2 usage error / unparseable file.
+2 usage error / unparseable file (README, "Command line").
 
 The JSON document is stable (schema version 2)::
 
@@ -29,14 +29,13 @@ cached fact tables).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from typing import List, Optional
 
-from repro.check.engine import CheckError, all_rules, check_paths
+from repro.check.engine import CheckError, all_rules, check_paths, select_rules
 
-__all__ = ["main"]
+__all__ = ["cmd_check"]
 
 
 def _split_rules(value: Optional[str]) -> Optional[List[str]]:
@@ -45,39 +44,8 @@ def _split_rules(value: Optional[str]) -> Optional[List[str]]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro check",
-        description="AST-based static contract analysis for the repro "
-                    "codebase (determinism, async-safety, telemetry "
-                    "schema conformance).",
-    )
-    parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to check (default: src)")
-    # --format is the historical spelling; both write the same dest
-    parser.add_argument("--output", "--format", dest="output",
-                        choices=("text", "json", "sarif"), default="text",
-                        help="output format (default text)")
-    parser.add_argument("--cache", metavar="DIR", default=None,
-                        help="content-hash result cache directory "
-                             "(unchanged files skip parsing entirely)")
-    parser.add_argument("--select", metavar="RULES", default=None,
-                        help="comma-separated rule ids to run exclusively")
-    parser.add_argument("--ignore", metavar="RULES", default=None,
-                        help="comma-separated rule ids to skip")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalog and exit")
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors already
-        return int(exc.code or 0)
-
+def cmd_check(args) -> int:
+    """The ``check`` handler (options in :mod:`repro.experiments.cli`)."""
     if args.list_rules:
         for rule in all_rules():
             scope = "project" if rule.project else "file"
@@ -86,13 +54,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"        {rule.rationale}")
         return 0
 
+    select, ignore = _split_rules(args.select), _split_rules(args.ignore)
     try:
-        report = check_paths(
-            args.paths,
-            select=_split_rules(args.select),
-            ignore=_split_rules(args.ignore),
-            cache_dir=args.cache,
-        )
+        report = check_paths(args.paths, select=select, ignore=ignore,
+                             cache_dir=args.cache)
     except CheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -101,7 +66,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     elif args.output == "sarif":
         from repro.check.sarif import render_sarif
-        rules = select_rules_for_sarif(args)
+        rules = select_rules(select, ignore)
         print(json.dumps(render_sarif(report, rules), indent=2))
     else:
         for finding in report.findings:
@@ -115,13 +80,3 @@ def main(argv: Optional[List[str]] = None) -> int:
                    f"in {report.files_checked} files checked")
         print(summary if n else f"clean: {summary}")
     return report.exit_code
-
-
-def select_rules_for_sarif(args: argparse.Namespace):
-    """The rule set to describe in the SARIF rule table."""
-    from repro.check.engine import select_rules
-    return select_rules(_split_rules(args.select), _split_rules(args.ignore))
-
-
-if __name__ == "__main__":  # pragma: no cover - module execution hook
-    sys.exit(main())

@@ -193,7 +193,7 @@ def ablate_delivery_mode(*, seed: int = 0, engine: str = "detailed") -> FigureRe
             burst_users_per_s=1.2, horizon_s=700.0, n_servers=2,
             cfg=base.with_overrides(delivery_mode=mode),
         )
-        system, _pop = scenario.run(seed=seed)
+        system = run_scenario(scenario, seed=seed, engine="detailed").system
         if mode == "pull":
             msgs = sum(
                 p.pull_req.requests_sent

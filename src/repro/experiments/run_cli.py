@@ -12,82 +12,42 @@ Fig. 9 point from an overnight job into seconds::
     python -m repro run --engine fast --users 50000
     python -m repro run --scenario flash_crowd_storm --engine fast
 
-Exit codes follow the repo convention: 0 success, 1 engine/backend
-error, 2 usage error, 130 interrupted.
+Options and exit codes: README, "Command line".
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
-from typing import Optional
 
-from repro.runtime.backends import BackendStartupError, available_engines
+from repro.runtime.driver import run_scenario
+from repro.runtime.parity import _preset_scenarios, paper_metrics
+from repro.workload.scenarios import steady_audience
 
-__all__ = ["main"]
+__all__ = ["cmd_run"]
 
 
-def _build_scenario(args):
-    from repro.runtime.parity import _preset_scenarios
-    from repro.workload.scenarios import steady_audience
-
-    if args.scenario is not None:
+def cmd_run(args) -> int:
+    """The ``run`` handler (options in :mod:`repro.experiments.cli`)."""
+    if args.users < 1 or not 0 < args.horizon < float("inf") \
+            or args.servers < 0:
+        print("error: run: --users/--horizon/--servers out of range",
+              file=sys.stderr)
+        return 2
+    if args.scenario is None:
+        scenario = steady_audience(rate_per_s=args.users / args.horizon,
+                                   horizon_s=args.horizon,
+                                   n_servers=args.servers)
+    else:
         presets = _preset_scenarios()
         if args.scenario not in presets:
-            raise SystemExit(2)
-        return presets[args.scenario]()
-    rate = args.users / args.horizon
-    return steady_audience(
-        rate_per_s=rate, horizon_s=args.horizon, n_servers=args.servers)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro run",
-        description="Run one scenario on one engine and print the "
-                    "population metrics (defaults sized for the 1M-user "
-                    "mean-field demonstration).",
-    )
-    parser.add_argument("--engine", choices=available_engines(),
-                        default="ode",
-                        help="simulation engine (default ode)")
-    parser.add_argument("--users", type=int, default=1_000_000,
-                        help="expected audience size for the synthetic "
-                             "steady scenario (default 1000000)")
-    parser.add_argument("--horizon", type=float, default=300.0,
-                        help="virtual horizon in seconds (default 300)")
-    parser.add_argument("--servers", type=int, default=24,
-                        help="dedicated servers (default 24, the "
-                             "deployment's count)")
-    parser.add_argument("--scenario", default=None,
-                        help="named preset instead of the synthetic "
-                             "steady audience (one of the parity presets)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="root random seed (default 0)")
-    args = parser.parse_args(argv)
-
-    if args.users < 1 or args.horizon <= 0 or args.servers < 0:
-        parser.error("--users/--horizon/--servers out of range")
-
-    from repro.runtime.driver import run_scenario
-    from repro.runtime.parity import paper_metrics
-
-    try:
-        scenario = _build_scenario(args)
-    except SystemExit:
-        print(f"run: unknown scenario {args.scenario!r}", file=sys.stderr)
-        return 2
+            print(f"error: run: unknown scenario {args.scenario!r}",
+                  file=sys.stderr)
+            return 2
+        scenario = presets[args.scenario]()
 
     t0 = time.perf_counter()  # repro: noqa[DET002] CLI elapsed-time display only
-    try:
-        result = run_scenario(scenario, seed=args.seed, engine=args.engine)
-    except BackendStartupError as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        print("run: interrupted", file=sys.stderr)
-        return 130
+    result = run_scenario(scenario, seed=args.seed, engine=args.engine)
     wall = time.perf_counter() - t0  # repro: noqa[DET002] CLI elapsed-time display only
 
     print(f"run: {scenario.name} engine={args.engine} seed={args.seed} "

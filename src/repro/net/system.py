@@ -34,7 +34,6 @@ from repro.network.connectivity import ConnectivityClass, ConnectivityMix
 from repro.obs import context as _obs_context
 from repro.sim.engine import Engine
 from repro.sim.rng import RngHub
-from repro.telemetry.logstring import encode_log_string
 from repro.telemetry.reporter import NodeReporter
 from repro.telemetry.reports import Report
 from repro.telemetry.server import LogServer
@@ -69,7 +68,7 @@ class RemoteLogProxy:
 
     def receive_report(self, arrival_time: float, report: Report) -> None:
         """Encode and ship one report line."""
-        line = encode_log_string(report.to_params())
+        line = report.to_log_string()
         self._peer.send_coord(
             MsgType.LOG_REPORT, {"t": float(arrival_time), "line": line})
 

@@ -14,20 +14,20 @@ from runs that already finished.  Campaign feeds are recognised by their
     [watch] campaign 37/120 done (2 failed, 14 cached, 4 running) rss=98MB
 
 Exit codes: 0 feed completed (final snapshot seen) or ``--once``
-rendered, 1 error (unreadable feed / run never appeared), 2 usage
-error, 130 interrupted.
+rendered, 1 unreadable feed / run never appeared (README, "Command
+line").
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["Snapshot", "render_snapshot", "iter_feed", "follow_feed", "main"]
+__all__ = ["Snapshot", "render_snapshot", "iter_feed", "follow_feed",
+           "watch_once", "cmd_watch"]
 
 # counters whose per-second rate is the headline number, in preference
 # order (detailed engine first, then the fluid engine's step counter)
@@ -206,42 +206,13 @@ def watch_once(path: Path, *, stream=None) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    """``python -m repro watch`` entry point."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro watch",
-        description="Render the metrics JSONL feed of a running run or "
-                    "campaign (written by --metrics-out).",
-    )
-    parser.add_argument("feed", help="metrics JSONL path to tail")
-    parser.add_argument("--once", action="store_true",
-                        help="render the latest snapshot and exit")
-    parser.add_argument("--interval", type=float, default=1.0,
-                        metavar="S", help="poll interval (default 1s)")
-    parser.add_argument("--timeout", type=float, default=None, metavar="S",
-                        help="give up after S seconds without progress "
-                             "(default: wait forever)")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.interval <= 0:
+def cmd_watch(args) -> int:
+    """The ``watch`` handler (options in :mod:`repro.experiments.cli`)."""
+    if not args.interval > 0:
         print("error: watch: --interval must be positive", file=sys.stderr)
         return 2
-
     path = Path(args.feed)
-    try:
-        if args.once:
-            return watch_once(path)
-        return follow_feed(path, interval_s=args.interval,
-                           timeout_s=args.timeout)
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return 130
-    except OSError as exc:
-        print(f"error: watch: {exc}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    if args.once:
+        return watch_once(path)
+    return follow_feed(path, interval_s=args.interval,
+                       timeout_s=args.timeout)

@@ -1,23 +1,23 @@
 """repro.runtime -- the engine-agnostic Scenario -> Backend runtime.
 
-One driving surface over both simulation engines:
+One driving surface over every engine:
 
 * :class:`StreamingBackend` -- the engine contract (apply a workload,
   schedule program endings, run, expose the log and metric snapshots);
 * :class:`DetailedBackend` / :class:`FluidBackend` -- adapters over the
-  event-driven reference engine and the vectorized fluid engine;
+  event-driven reference engine and the vectorized fluid engine; the
+  ``ode`` and ``net`` engines register lazily
+  (:func:`available_engines`, :func:`resolve_backend`);
 * :func:`run_scenario` -- sample the workload once (identically named
-  RNG streams, so both engines see the same realization) and run it on
-  the chosen engine;
+  RNG streams, so every engine sees the same realization) and run it on
+  the chosen engine; :func:`build_backend` stops before running;
 * :func:`run_parity` / ``python -m repro parity`` -- cross-engine
   consistency checks on paper-level metrics.
 
-Every figure, ablation and campaign run routes through this package;
-``Scenario.build``/``Scenario.run`` are thin shims over it.
+Every figure, ablation and campaign run routes through this package.
 """
 
 from repro.runtime.backends import (
-    ENGINES,
     BackendStartupError,
     DetailedBackend,
     FluidBackend,
@@ -44,7 +44,6 @@ from repro.runtime.parity import (
 )
 
 __all__ = [
-    "ENGINES",
     "BackendStartupError",
     "register_backend",
     "available_engines",

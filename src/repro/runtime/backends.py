@@ -54,7 +54,6 @@ __all__ = [
     "StreamingBackend",
     "DetailedBackend",
     "FluidBackend",
-    "ENGINES",
     "BackendStartupError",
     "register_backend",
     "available_engines",
@@ -273,16 +272,6 @@ class FluidBackend:
             if any(s.started_playback for s in sessions)
         )
         return ok / len(by_user)
-
-
-#: legacy engine name -> backend class mapping for the two simulators.
-#: Kept stable for existing imports; the *registry* below is the source
-#: of truth (it also knows engines with heavier import footprints, like
-#: the socket backend, which register lazily).
-ENGINES = {
-    DetailedBackend.name: DetailedBackend,
-    FluidBackend.name: FluidBackend,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.config import SystemConfig
-from repro.core.system import CoolstreamingSystem
 from repro.network.capacity import CapacityModel
 from repro.network.connectivity import ConnectivityMix
 from repro.workload.arrivals import (
@@ -28,7 +27,6 @@ from repro.workload.sessions import (
     ProgramSchedule,
     SessionDurationModel,
 )
-from repro.workload.users import UserPopulation
 
 __all__ = [
     "Scenario",
@@ -45,10 +43,8 @@ class Scenario:
     """A fully specified experiment: system config + workload + horizon.
 
     A scenario is pure data; execution belongs to :mod:`repro.runtime`,
-    which can drive it on either engine
-    (``run_scenario(scenario, seed, engine="detailed"|"fast")``).  The
-    :meth:`build`/:meth:`run` methods remain as thin detailed-engine
-    shims over that runtime for existing callers.
+    which can drive it on any engine
+    (``run_scenario(scenario, seed, engine="detailed"|"fast"|...)``).
     """
 
     name: str
@@ -62,25 +58,6 @@ class Scenario:
     connectivity_mix: Optional[ConnectivityMix] = None
     capacity_model: Optional[CapacityModel] = None
     silent_leave_prob: float = 0.1
-
-    def build(self, seed: int = 0) -> tuple[CoolstreamingSystem, UserPopulation]:
-        """Instantiate the system and its audience (nothing runs yet).
-
-        Thin shim over :func:`repro.runtime.build_backend` with the
-        detailed engine; bit-identical to the historical inline wiring.
-        """
-        from repro.runtime import build_backend  # deferred: runtime imports us
-
-        backend = build_backend(self, seed=seed, engine="detailed")
-        backend.materialize()
-        return backend.system, backend.population
-
-    def run(self, seed: int = 0) -> tuple[CoolstreamingSystem, UserPopulation]:
-        """Build and run to the horizon (detailed-engine shim)."""
-        from repro.runtime import run_scenario  # deferred: runtime imports us
-
-        res = run_scenario(self, seed=seed, engine="detailed")
-        return res.system, res.population
 
 
 def evening_broadcast(

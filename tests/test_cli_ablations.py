@@ -1,11 +1,49 @@
 """Tests for the CLI and the ablation helpers."""
 
+import importlib
 import json
 
+import pytest
 
 from repro.experiments.cli import ABLATIONS, EXPERIMENTS, main
 from repro.experiments.ablations import run_variant
 from repro.core.config import SystemConfig
+from repro.runtime.backends import BackendStartupError
+
+_FIGURES = "repro.experiments.cli:_cmd_experiments"
+
+#: every subcommand -> (its handler, argv that parses, argv with a usage
+#: error argparse catches)
+COMMANDS = {
+    **{name: (_FIGURES, [name], [name, "--seed", "x"])
+       for name in [*EXPERIMENTS, "ablations", "all"]},
+    "list": ("repro.experiments.cli:_cmd_list", ["list"], ["list", "extra"]),
+    "run": ("repro.experiments.run_cli:cmd_run", ["run"],
+            ["run", "--engine", "warp"]),
+    "parity": ("repro.runtime.parity:cmd_parity", ["parity"],
+               ["parity", "--scenario", "nope"]),
+    "campaign run": ("repro.campaign.cli:cmd_run",
+                     ["campaign", "run", "spec.json"], ["campaign", "run"]),
+    "campaign status": ("repro.campaign.cli:cmd_status",
+                        ["campaign", "status"],
+                        ["campaign", "status", "--interval", "x"]),
+    "campaign clean": ("repro.campaign.cli:cmd_clean", ["campaign", "clean"],
+                       ["campaign", "clean", "--force"]),
+    "check": ("repro.check.cli:cmd_check", ["check"],
+              ["check", "--output", "xml"]),
+    "profile": ("repro.experiments.profile:cmd_profile", ["profile", "fig3"],
+                ["profile", "fig3", "--engine", "warp"]),
+    "watch": ("repro.obs.watch:cmd_watch", ["watch", "m.jsonl"], ["watch"]),
+}
+
+
+def _raise_from(monkeypatch, handler, exc):
+    module, _, attr = handler.partition(":")
+
+    def raiser(args):
+        raise exc
+
+    monkeypatch.setattr(importlib.import_module(module), attr, raiser)
 
 
 class TestCli:
@@ -69,6 +107,67 @@ class TestCli:
         assert main(["model", "--quiet", "--trace-out", str(trace)]) == 0
         data = json.loads(trace.read_text())
         assert "traceEvents" in data
+
+
+class TestCommandTree:
+    def test_table_covers_every_listed_command(self, capsys):
+        assert main(["list"]) == 0
+        listed = capsys.readouterr().out.split()
+        assert listed == list(dict.fromkeys(c.split()[0] for c in COMMANDS))
+
+    @pytest.mark.parametrize("handler, argv, bad_argv", COMMANDS.values(),
+                             ids=list(COMMANDS))
+    def test_exit_code_mapping(self, handler, argv, bad_argv, monkeypatch,
+                               capsys):
+        assert main(bad_argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+        _raise_from(monkeypatch, handler, KeyboardInterrupt())
+        assert main(argv) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+
+        _raise_from(monkeypatch, handler, BackendStartupError("port in use"))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: backend startup: port in use\n"
+
+    def test_help_returns_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["parity", "--help"]) == 0
+        assert "--engines" in capsys.readouterr().out
+
+    def test_run_nan_horizon_is_usage_error(self, capsys):
+        assert main(["run", "--engine", "fast", "--users", "100",
+                     "--horizon", "nan"]) == 2
+        assert capsys.readouterr().err.startswith("error: run:")
+
+    def test_run_engine_exception_is_one_error_line(self, monkeypatch,
+                                                    capsys):
+        import repro.experiments.run_cli as run_cli
+
+        def boom(*args, **kwargs):
+            raise ValueError("lam < 0 or lam is NaN")
+
+        monkeypatch.setattr(run_cli, "run_scenario", boom)
+        assert main(["run", "--engine", "fast", "--users", "100"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: run: ValueError: lam < 0 or lam is NaN\n"
+
+    def test_profile_engine_uses_registry_choices(self, capsys):
+        assert main(["profile", "fig3", "--engine", "warp"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_seed_reaches_only_functions_that_declare_it(self, monkeypatch,
+                                                          capsys):
+        table1, seen = EXPERIMENTS["table1"], []
+
+        def spy(cfg=None):
+            seen.append(cfg)
+            return table1(cfg)
+
+        monkeypatch.setitem(EXPERIMENTS, "table1", spy)
+        assert main(["table1", "--quiet", "--seed", "5"]) == 0
+        assert seen == [None]
 
 
 class TestRunVariant:

@@ -118,3 +118,13 @@ print(json.dumps({"lines": len(backend.log),
     assert out["lines"] > 0
     assert not [m for m in out["new"]
                 if m.partition(".")[0] not in sys.stdlib_module_names]
+
+
+def test_a_figure_command_loads_no_other_subcommand():
+    """``python -m repro table1`` builds the whole command tree but imports
+    only the handler it dispatches to."""
+    modules = modules_after("from repro.experiments.cli import main\n"
+                            "assert main(['table1', '--quiet']) == 0")
+    for name in ("repro.campaign", "repro.check", "repro.net", "asyncio",
+                 "cProfile"):
+        assert not loaded(modules, name), name

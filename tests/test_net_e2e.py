@@ -212,12 +212,13 @@ class TestStartupFailureExitCodes:
 
     def test_parity_cli_maps_startup_error_to_exit_1(self, monkeypatch, capsys):
         import repro.runtime.parity as parity
+        from repro.experiments.cli import main as repro_main
 
         def boom(*args, **kwargs):
             raise BackendStartupError("port 9 already in use")
 
         monkeypatch.setattr(parity, "run_parity_suite", boom)
-        assert parity.main(["--scenario", "steady_audience"]) == 1
+        assert repro_main(["parity", "--scenario", "steady_audience"]) == 1
         assert "backend startup" in capsys.readouterr().err
 
     def test_run_cli_maps_startup_error_to_exit_1(self, monkeypatch, capsys):
@@ -231,22 +232,16 @@ class TestStartupFailureExitCodes:
         assert "backend startup" in capsys.readouterr().err
 
     def test_parity_cli_rejects_unknown_engines(self, capsys):
-        from repro.runtime.parity import main as parity_main
+        from repro.experiments.cli import main as repro_main
 
-        with pytest.raises(SystemExit) as exc:
-            parity_main(["--engines", "detailed,warp"])
-        assert exc.value.code == 2
+        assert repro_main(["parity", "--engines", "detailed,warp"]) == 2
 
     def test_parity_cli_rejects_single_engine(self, capsys):
-        from repro.runtime.parity import main as parity_main
+        from repro.experiments.cli import main as repro_main
 
-        with pytest.raises(SystemExit) as exc:
-            parity_main(["--engines", "detailed"])
-        assert exc.value.code == 2
+        assert repro_main(["parity", "--engines", "detailed"]) == 2
 
     def test_run_cli_rejects_unknown_engine(self, capsys):
         from repro.experiments.cli import main as repro_main
 
-        with pytest.raises(SystemExit) as exc:
-            repro_main(["fig3", "--engine", "warp"])
-        assert exc.value.code == 2
+        assert repro_main(["fig3", "--engine", "warp"]) == 2

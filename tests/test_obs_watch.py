@@ -8,11 +8,11 @@ import threading
 import time
 from pathlib import Path
 
+from repro.experiments.cli import main as repro_main
 from repro.obs.watch import (
     Snapshot,
     follow_feed,
     iter_feed,
-    main,
     render_snapshot,
     watch_once,
 )
@@ -145,29 +145,27 @@ class TestCli:
     def test_once_exit_codes(self, tmp_path, capsys):
         feed = tmp_path / "m.jsonl"
         feed.write_text(_line(5.0, 42.0, RUN_METRICS))
-        assert main([str(feed), "--once"]) == 0
+        assert repro_main(["watch", str(feed), "--once"]) == 0
         assert "sim=42.0s" in capsys.readouterr().out
 
     def test_usage_errors_exit_2(self, tmp_path):
-        assert main([str(tmp_path / "m.jsonl"), "--interval", "0"]) == 2
-        assert main([]) == 2  # argparse: missing feed
+        assert repro_main(["watch", str(tmp_path / "m.jsonl"),
+                           "--interval", "0"]) == 2
+        assert repro_main(["watch"]) == 2  # argparse: missing feed
 
     def test_missing_feed_exits_1(self, tmp_path):
-        assert main([str(tmp_path / "m.jsonl"), "--once"]) == 1
-        assert main([str(tmp_path / "m.jsonl"), "--timeout", "0.05",
-                     "--interval", "0.01"]) == 1
+        assert repro_main(["watch", str(tmp_path / "m.jsonl"),
+                           "--once"]) == 1
+        assert repro_main(["watch", str(tmp_path / "m.jsonl"),
+                           "--timeout", "0.05", "--interval", "0.01"]) == 1
 
     def test_repro_cli_dispatch(self, tmp_path, capsys):
-        from repro.experiments.cli import main as repro_main
-
         feed = tmp_path / "m.jsonl"
         feed.write_text(_line(5.0, 42.0, RUN_METRICS))
         assert repro_main(["watch", str(feed), "--once"]) == 0
         assert "sim=42.0s" in capsys.readouterr().out
 
     def test_listed_in_repro_list(self, capsys):
-        from repro.experiments.cli import main as repro_main
-
         assert repro_main(["list"]) == 0
         assert "watch" in capsys.readouterr().out.split()
 
@@ -175,12 +173,10 @@ class TestCli:
 class TestEndToEnd:
     def test_real_run_feed_renders(self, tmp_path, capsys):
         """A real observed run produces a feed the watcher understands."""
-        from repro.experiments.cli import main as repro_main
-
         feed = tmp_path / "m.jsonl"
         assert repro_main(["model", "--quiet",
                            "--metrics-out", str(feed)]) == 0
-        assert main([str(feed), "--once"]) == 0
+        assert repro_main(["watch", str(feed), "--once"]) == 0
         out = capsys.readouterr().out
         assert "[watch]" in out
         assert "rss=" in out

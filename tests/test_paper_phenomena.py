@@ -13,6 +13,7 @@ from repro.analysis import SessionTable, classify_users, snapshot_overlay
 from repro.analysis.classification import UserType
 from repro.analysis.continuity import mean_continuity
 from repro.analysis.contribution import contributor_class_share, upload_totals
+from repro.runtime import run_scenario
 from repro.workload.scenarios import steady_audience
 
 
@@ -20,8 +21,8 @@ from repro.workload.scenarios import steady_audience
 def steady_run():
     """One shared steady-state run analysed by every test in the module."""
     scenario = steady_audience(rate_per_s=0.35, horizon_s=1000.0, n_servers=3)
-    system, population = scenario.run(seed=21)
-    return system, population
+    res = run_scenario(scenario, seed=21, engine="detailed")
+    return res.system, res.population
 
 
 class TestFig3Phenomena:

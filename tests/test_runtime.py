@@ -9,18 +9,17 @@ seed) -- and each backend consuming it is bit-reproducible run-to-run.
 import numpy as np
 import pytest
 
-from repro.core.system import CoolstreamingSystem
 from repro.runtime import (
-    ENGINES,
     DetailedBackend,
     FluidBackend,
     StreamingBackend,
+    available_engines,
     build_backend,
+    resolve_backend,
     run_scenario,
     sample_workload,
 )
 from repro.workload.scenarios import steady_audience, uniform_ramp
-from repro.workload.users import UserPopulation
 
 
 def small_scenario(**kw):
@@ -74,9 +73,9 @@ class TestSampleWorkload:
 
 class TestBuildBackend:
     def test_engine_registry(self):
-        assert set(ENGINES) == {"detailed", "fast"}
-        assert ENGINES["detailed"] is DetailedBackend
-        assert ENGINES["fast"] is FluidBackend
+        assert {"detailed", "fast"} <= set(available_engines())
+        assert resolve_backend("detailed") is DetailedBackend
+        assert resolve_backend("fast") is FluidBackend
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -149,14 +148,3 @@ class TestRunScenario:
         assert r1.log.dumps() == r2.log.dumps()
 
 
-class TestScenarioShims:
-    def test_build_returns_system_and_population(self):
-        system, pop = small_scenario().build(seed=0)
-        assert isinstance(system, CoolstreamingSystem)
-        assert isinstance(pop, UserPopulation)
-
-    def test_run_shim_matches_run_scenario(self):
-        scenario = small_scenario()
-        system, _pop = scenario.run(seed=6)
-        res = run_scenario(scenario, seed=6, engine="detailed")
-        assert system.log.dumps() == res.log.dumps()

@@ -9,11 +9,11 @@ import math
 
 import pytest
 
+from repro.experiments.cli import main as repro_main
 from repro.runtime.parity import (
     ABSOLUTE_FLOOR,
     DEFAULT_TOLERANCES,
     MetricComparison,
-    main as parity_main,
     paper_metrics,
     run_parity,
 )
@@ -96,17 +96,23 @@ class TestRunParity:
 
 class TestParityCli:
     def test_unknown_scenario_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            parity_main(["--scenario", "nope"])
-        assert exc.value.code == 2
+        assert repro_main(["parity", "--scenario", "nope"]) == 2
 
-    def test_dispatch_from_repro_cli(self, capsys):
-        # `python -m repro parity` routes here before argparse
-        from repro.experiments.cli import main as repro_main
+    def test_dispatch_from_repro_cli(self, monkeypatch, capsys):
+        # `python -m repro parity` reaches the parity handler
+        import repro.runtime.parity as parity
 
-        with pytest.raises(SystemExit) as exc:
-            repro_main(["parity", "--scenario", "nope"])
-        assert exc.value.code == 2
+        seen = {}
+
+        def fake_suite(scenario, *, seed, engines, tolerances):
+            seen.update(scenario=scenario.name, seed=seed, engines=engines)
+            return []
+
+        monkeypatch.setattr(parity, "run_parity_suite", fake_suite)
+        assert repro_main(["parity", "--seed", "3",
+                           "--engines", "fast,ode,fast"]) == 0
+        assert seen == {"scenario": "steady_audience", "seed": 3,
+                        "engines": ["fast", "ode"]}
 
 
 class TestCampaignEngineKey:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.node import SessionOutcome
 from repro.core.system import CoolstreamingSystem
+from repro.runtime import build_backend, run_scenario
 from repro.workload.arrivals import (
     DiurnalProfile,
     FlashCrowd,
@@ -182,7 +183,8 @@ class TestUserAgents:
     def test_population_builds_and_runs(self, small_cfg):
         scenario = steady_audience(rate_per_s=0.1, horizon_s=300.0,
                                    n_servers=2, cfg=small_cfg)
-        system, pop = scenario.run(seed=3)
+        res = run_scenario(scenario, seed=3, engine="detailed")
+        system, pop = res.system, res.population
         assert system.engine.now == 300.0
         assert 0.0 <= pop.success_fraction() <= 1.0
         assert sum(pop.retry_histogram().values()) <= len(pop.users)
@@ -190,7 +192,9 @@ class TestUserAgents:
     def test_population_double_attach_rejected(self, small_cfg):
         scenario = steady_audience(rate_per_s=0.1, horizon_s=100.0,
                                    cfg=small_cfg)
-        system, pop = scenario.build(seed=3)
+        backend = build_backend(scenario, seed=3, engine="detailed")
+        backend.materialize()
+        pop = backend.population
         with pytest.raises(RuntimeError):
             pop.attach()
 
