@@ -138,15 +138,16 @@ class SessionTable:
             ]
             t1 = max(all_t) + step_s if all_t else t0 + step_s
         grid = np.arange(t0, t1 + step_s / 2, step_s)
+        # a session counts from the first grid point past its join to the
+        # first past its leave; +1/-1 per endpoint, summed in any order,
+        # is exact
+        leaves = np.array([s.leave_time for s in self._sessions.values()
+                           if s.join_time is not None
+                           and s.leave_time is not None], dtype=float)
         delta = np.zeros(grid.size + 1)
-        for s in self._sessions.values():
-            if s.join_time is None:
-                continue
-            j = int(np.searchsorted(grid, s.join_time, side="right"))
-            delta[min(j, grid.size)] += 1
-            if s.leave_time is not None:
-                l = int(np.searchsorted(grid, s.leave_time, side="right"))
-                delta[min(l, grid.size)] -= 1
+        np.add.at(delta, np.searchsorted(
+            grid, np.array(joins, dtype=float), side="right"), 1)
+        np.add.at(delta, np.searchsorted(grid, leaves, side="right"), -1)
         counts = np.cumsum(delta[:-1])
         return grid, counts
 

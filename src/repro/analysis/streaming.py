@@ -67,7 +67,6 @@ __all__ = [
     "PartnerEventsFold",
     "ConcurrentUsersFold",
     "JoinFunnelFold",
-    "fold_many",
 ]
 
 
@@ -322,6 +321,14 @@ def _share_session_table(folds: Tuple[Fold, ...]) -> List[Fold]:
 # ---------------------------------------------------------------------------
 # the figure-reconstruction folds
 # ---------------------------------------------------------------------------
+# the members ``SessionTableFold.update`` tests a report's event against,
+# bound once: an ``ActivityEvent.X`` lookup per test costs more than the test
+_JOIN = ActivityEvent.JOIN
+_START_SUBSCRIPTION = ActivityEvent.START_SUBSCRIPTION
+_PLAYER_READY = ActivityEvent.PLAYER_READY
+_LEAVE = ActivityEvent.LEAVE
+
+
 class SessionTableFold(Fold):
     """Session reconstruction (Section V.C) as a fold.
 
@@ -348,13 +355,14 @@ class SessionTableFold(Fold):
                 address_public=report.address_public,
             )
             self._sessions[report.session_id] = sess
-        if report.event is ActivityEvent.JOIN:
+        event = report.event
+        if event is _JOIN:
             sess.join_time = report.time
-        elif report.event is ActivityEvent.START_SUBSCRIPTION:
+        elif event is _START_SUBSCRIPTION:
             sess.subscription_time = report.time
-        elif report.event is ActivityEvent.PLAYER_READY:
+        elif event is _PLAYER_READY:
             sess.ready_time = report.time
-        elif report.event is ActivityEvent.LEAVE:
+        elif event is _LEAVE:
             sess.leave_time = report.time
             sess.leave_reason = report.reason
 
@@ -575,8 +583,3 @@ class JoinFunnelFold(Fold):
 
         return funnel_of_table(self._table.result())
 
-
-def fold_many(source, folds: Iterable[Fold]) -> Tuple:
-    """``fold_log`` with the folds given as an iterable (convenience for
-    callers assembling fold sets dynamically)."""
-    return fold_log(source, *folds)

@@ -15,11 +15,13 @@ retry sessions together (Fig. 10b).
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import re
+import typing
 from dataclasses import dataclass, field
-from typing import (ClassVar, Dict, List, Optional, Pattern, Sequence,
-                    Tuple, Type)
+from typing import (Callable, ClassVar, Dict, List, Optional, Pattern,
+                    Sequence, Tuple, Type)
 from urllib.parse import quote
 
 from .logstring import LOG_PATH, decode_log_string, encode_log_string
@@ -59,6 +61,7 @@ class LeaveReason(str, enum.Enum):
 
 
 _HEADER_KEYS = ("t", "node", "user", "sess")
+_HEADER_FIELDS = ("time", "node_id", "user_id", "session_id")
 _TYPE_AT = len(f"{LOG_PATH}?type=")
 
 
@@ -78,6 +81,92 @@ def _wire_pattern(report_type: str, *keys: str,
     return re.compile("".join(parts))
 
 
+def _wire_decoder(cls: type, keys: Sequence[Tuple[str, str]],
+                  optional: Tuple[str, ...]) -> Callable[..., "Report"]:
+    """The function that builds a ``cls`` report from the groups of its
+    wire pattern: the header then ``keys``, ``(wire key, field)`` pairs.
+
+    It returns what ``cls(...)`` of the converted values returns, without
+    calling the frozen dataclass ``__init__``, which pays one
+    ``object.__setattr__`` per field: the report comes from
+    ``object.__new__`` and gets its fields in one ``__dict__.update``, in
+    field order.  Each value goes through the conversion ``from_params``
+    applies to its field's type -- ``float``, ``int``, ``== "1"`` for a
+    flag, and for an enum a lookup by value that falls back to the enum
+    call, so an unknown value raises its ``ValueError``; the value of an
+    absent ``optional`` key is ``None``.  A field no key carries gets its
+    default.  The function is compiled once per class, as ``dataclass``
+    compiles ``__init__``, so a line costs no loop over fields.
+    """
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__} has a __post_init__ that the wire "
+                        "decoder would skip")
+    wire = dict(zip(_HEADER_FIELDS, _HEADER_KEYS))
+    wire.update((name, key) for key, name in keys)
+    arg_of = {key: f"v{i}" for i, key in enumerate(_HEADER_KEYS + tuple(
+        key for key, _ in keys))}
+    hints = typing.get_type_hints(cls)
+    namespace: Dict[str, object] = {
+        "_new": object.__new__, "_cls": cls, "float": float, "int": int}
+    values = []
+    for f in dataclasses.fields(cls):
+        key = wire.pop(f.name, None)
+        if key is None:  # not on the wire: the constructor's default
+            if f.default_factory is dataclasses.MISSING:
+                namespace[f"_d_{f.name}"] = f.default
+                values.append(f"{f.name}=_d_{f.name}")
+            else:
+                namespace[f"_d_{f.name}"] = f.default_factory
+                values.append(f"{f.name}=_d_{f.name}()")
+            continue
+        arg, kind = arg_of[key], hints[f.name]
+        if key in optional:
+            (kind,) = (a for a in typing.get_args(kind) if a is not type(None))
+        if kind is bool:
+            value = f'{arg} == "1"'
+        elif kind in (int, float):
+            value = f"{kind.__name__}({arg})"
+        elif isinstance(kind, type) and issubclass(kind, enum.Enum):
+            namespace[f"_{kind.__name__}"] = kind
+            namespace[f"_{kind.__name__}_by_value"] = {m.value: m for m in kind}
+            # a miss (or a falsy member) goes through the enum call
+            value = (f"_{kind.__name__}_by_value.get({arg}) "
+                     f"or _{kind.__name__}({arg})")
+        else:
+            raise TypeError(f"{cls.__name__}.{f.name}: no wire conversion "
+                            f"for {kind!r}")
+        if key in optional:
+            value = f"None if {arg} is None else {value}"
+        values.append(f"{f.name}={value}")
+    if wire:
+        raise TypeError(f"{cls.__name__} has no field {sorted(wire)}")
+    source = (f"def _from_wire({', '.join(arg_of.values())}):\n"
+              f"    report = _new(_cls)\n"
+              f"    report.__dict__.update({', '.join(values)})\n"
+              f"    return report\n")
+    exec(source, namespace)
+    decode = namespace["_from_wire"]
+    decode.__qualname__ = f"{cls.__qualname__}._from_wire"  # type: ignore[attr-defined]
+    return decode  # type: ignore[return-value]
+
+
+def _wire_form(*keys: Tuple[str, str], optional: Tuple[str, ...] = ()):
+    """Class decorator giving a report class its canonical wire form.
+
+    ``keys`` pairs each key after the header with the field it carries,
+    in the order ``to_log_string`` writes them; a key in ``optional`` may
+    be absent.  The class gets ``_WIRE``, the :func:`_wire_pattern` of
+    those keys, and ``_from_wire``, the :func:`_wire_decoder` of the same
+    keys, which builds the report from ``_WIRE``'s groups.
+    """
+    def decorate(cls):
+        cls._WIRE = _wire_pattern(cls.TYPE, *(key for key, _ in keys),
+                                  optional=optional)
+        cls._from_wire = staticmethod(_wire_decoder(cls, keys, optional))
+        return cls
+    return decorate
+
+
 @dataclass(frozen=True)
 class Report:
     """Common report header."""
@@ -88,6 +177,9 @@ class Report:
     session_id: int
 
     TYPE: ClassVar[str] = "?"
+    #: the canonical wire form and its decoder (see :func:`_wire_form`)
+    _WIRE: ClassVar[Pattern[str]]
+    _from_wire: ClassVar[Callable[..., Report]]
 
     def _header(self) -> Dict[str, str]:
         return {
@@ -125,6 +217,8 @@ class Report:
                 for node, user, session in zip(nodes, users, sessions)]
 
 
+@_wire_form(("ev", "event"), ("try", "attempt"), ("pub", "address_public"),
+            ("why", "reason"), optional=("why",))
 @dataclass(frozen=True)
 class ActivityReport(Report):
     """Immediate join / start-subscription / player-ready / leave report."""
@@ -182,18 +276,9 @@ class ActivityReport(Report):
             reason=LeaveReason(p["why"]) if "why" in p else None,
         )
 
-    _WIRE: ClassVar[Pattern[str]] = _wire_pattern(
-        "act", "ev", "try", "pub", "why", optional=("why",))
 
-    @classmethod
-    def _from_wire(cls, t: str, node: str, user: str, sess: str, ev: str,
-                   attempt: str, pub: str,
-                   why: Optional[str]) -> "ActivityReport":
-        return cls(float(t), int(node), int(user), int(sess),
-                   ActivityEvent(ev), int(attempt), pub == "1",
-                   None if why is None else LeaveReason(why))
-
-
+@_wire_form(("ci", "continuity"), ("buf", "buffered_seconds"),
+            ("par", "n_parents"), ("play", "playing"), optional=("ci",))
 @dataclass(frozen=True)
 class QoSReport(Report):
     """Perceived quality over the last report window.
@@ -256,18 +341,9 @@ class QoSReport(Report):
             playing=p.get("play", "0") == "1",
         )
 
-    _WIRE: ClassVar[Pattern[str]] = _wire_pattern(
-        "qos", "ci", "buf", "par", "play", optional=("ci",))
 
-    @classmethod
-    def _from_wire(cls, t: str, node: str, user: str, sess: str,
-                   ci: Optional[str], buf: str, par: str,
-                   play: str) -> "QoSReport":
-        return cls(float(t), int(node), int(user), int(sess),
-                   None if ci is None else float(ci), float(buf), int(par),
-                   play == "1")
-
-
+@_wire_form(("up", "bytes_up"), ("down", "bytes_down"), ("tup", "total_up"),
+            ("tdown", "total_down"))
 @dataclass(frozen=True)
 class TrafficReport(Report):
     """Bytes moved since the previous traffic report (plus totals)."""
@@ -321,15 +397,6 @@ class TrafficReport(Report):
             total_up=float(p.get("tup", "0")), total_down=float(p.get("tdown", "0")),
         )
 
-    _WIRE: ClassVar[Pattern[str]] = _wire_pattern(
-        "traf", "up", "down", "tup", "tdown")
-
-    @classmethod
-    def _from_wire(cls, t: str, node: str, user: str, sess: str, up: str,
-                   down: str, tup: str, tdown: str) -> "TrafficReport":
-        return cls(float(t), int(node), int(user), int(sess),
-                   float(up), float(down), float(tup), float(tdown))
-
 
 class PartnerOp(str, enum.Enum):
     """Partner activity kind in the compact event series."""
@@ -360,6 +427,10 @@ class PartnerEvent:
                    incoming=(d == "i"))
 
 
+# no ``pev``: its ``:``/``|`` separators are always percent-encoded, so a
+# report that carries events is never in the escape-free form
+@_wire_form(("np", "n_partners"), ("nin", "n_incoming"),
+            ("nout", "n_outgoing"))
 @dataclass(frozen=True)
 class PartnerReport(Report):
     """Compact series of partner activities since the last status report.
@@ -425,16 +496,6 @@ class PartnerReport(Report):
             n_incoming=int(p.get("nin", "0")),
             n_outgoing=int(p.get("nout", "0")),
         )
-
-    # no ``pev``: its ``:``/``|`` separators are always percent-encoded,
-    # so a report that carries events is never in the escape-free form
-    _WIRE: ClassVar[Pattern[str]] = _wire_pattern("part", "np", "nin", "nout")
-
-    @classmethod
-    def _from_wire(cls, t: str, node: str, user: str, sess: str, n_partners: str,
-                   n_incoming: str, n_outgoing: str) -> "PartnerReport":
-        return cls(float(t), int(node), int(user), int(sess), (),
-                   int(n_partners), int(n_incoming), int(n_outgoing))
 
 
 _REGISTRY: Dict[str, Type[Report]] = {

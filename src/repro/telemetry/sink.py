@@ -41,6 +41,7 @@ import os
 import re
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from typing import (IO, Iterator, List, Optional, Protocol, Sequence, Tuple,
@@ -78,6 +79,11 @@ _CHUNK_COMPRESSLEVEL = 1
 #: Lines handed to the compressor per write: a rotation never joins the
 #: whole tail into one chunk-sized string and one bytes object.
 _SLICE_LINES = 1024
+
+#: Characters of chunk text read per block: ~85 lines of ``ode_spill``'s
+#: log, one ``readlines`` call instead of one ``__next__`` per line.  4 Ki
+#: to 64 Ki characters read equally fast, so the block is kept small.
+_READ_HINT = 1 << 13
 
 _MANIFEST_NAME = "manifest.json"
 
@@ -161,25 +167,36 @@ def _open_chunk(chunk: Chunk) -> IO[str]:
     return open(chunk, "r", encoding="utf-8")
 
 
-def _read_chunk(chunk: Chunk, lines: int) -> Iterator[Tuple[float, str]]:
-    """Stream one chunk line by line, as ``(arrival_time, log_string)``
-    pairs; blank lines are skipped.
+def _read_chunk(chunk: Chunk, lines: int
+                ) -> Iterator[List[Tuple[float, str]]]:
+    """Stream one chunk as blocks of ``(arrival_time, log_string)`` pairs,
+    read ``_READ_HINT`` characters at a time; blank lines are skipped.
 
     A chunk that is missing, truncated or corrupt -- or holds another
     number of lines than was recorded for it, or a line without a numeric
     arrival stamp -- raises ``ValueError`` naming the file: analysing the
     part of a log that happens to be readable would silently change every
-    figure.
+    figure.  The lines before one without a stamp are handed on first, one
+    block each, as a line-at-a-time read would hand them on.
     """
     name = ("an in-memory chunk" if isinstance(chunk, bytes)
             else f"spill chunk {chunk}")
     seen = 0
     try:
         with _open_chunk(chunk) as fh:
-            for line in fh:
-                if not line.isspace():
-                    seen += 1
-                    yield _split_line(line)
+            for block in iter(partial(fh.readlines, _READ_HINT), []):
+                try:
+                    pairs = [_split_line(line) for line in block
+                             if not line.isspace()]
+                except ValueError:
+                    # a line without a numeric stamp: the lines before it
+                    # one by one, then its error (it fails again here)
+                    for line in block:
+                        if not line.isspace():
+                            yield [_split_line(line)]
+                    raise
+                seen += len(pairs)
+                yield pairs
     except (OSError, EOFError, zlib.error, ValueError) as exc:
         raise ValueError(f"{name} is unreadable: {exc!r}") from exc
     if seen != lines:
@@ -230,8 +247,9 @@ class ChunkedLog:
                 take = stop - first
             else:
                 continue
-            yield from itertools.islice(_read_chunk(chunk, lines),
-                                        max(start - first, 0), take)
+            yield from itertools.islice(
+                itertools.chain.from_iterable(_read_chunk(chunk, lines)),
+                max(start - first, 0), take)
         yield from map(_split_line, itertools.islice(
             tail, max(start - tail_first, 0), max(stop - tail_first, 0)))
 

@@ -42,3 +42,27 @@ def populated_system(small_system):
     """A small system after 15 peers streamed past their first 5-minute
     status report."""
     return spawn_and_run(small_system, n_peers=15, spacing_s=2.0, until=400.0)
+
+
+def _pin_failure(what: str, pinned_under: str) -> str:
+    """The failure message of a byte pin taken under numpy
+    ``pinned_under`` (major.minor): it names that numpy and this one.
+
+    Seeded ``Generator`` streams are not promised stable across numpy
+    releases (NEP 19), so a pin that moves under another minor may be
+    numpy's doing; under the same minor it is the engine's.
+    """
+    running = ".".join(np.__version__.split(".")[:2])
+    cause = ("the same numpy, so the engine changed" if running == pinned_under
+             else "another numpy: check whether its Generator streams "
+                  "changed before suspecting the engine, and re-record no "
+                  "pin to hide an engine change")
+    return (f"{what} differs from its pin, taken under numpy {pinned_under}; "
+            f"this is numpy {running}, {cause}")
+
+
+@pytest.fixture
+def pin_failure():
+    """``pin_failure(what, pinned_under)``: a byte pin's failure message,
+    naming the numpy the pin was taken under and the running one."""
+    return _pin_failure

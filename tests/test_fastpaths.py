@@ -287,9 +287,11 @@ class TestEngineLogBytesPinned:
     }
     #: detailed run's (events_processed, events_cancelled, engine.now)
     DETAILED_KERNEL = (30290, 438, 400.0)
+    #: the numpy (major.minor) the pins were checked under
+    NUMPY = "2.4"
 
     @staticmethod
-    def _run(engine):
+    def _run(engine, pin_failure):
         from repro.core.config import SystemConfig
         from repro.runtime import run_scenario
         from repro.workload.scenarios import evening_broadcast
@@ -307,12 +309,14 @@ class TestEngineLogBytesPinned:
         if engine == "detailed":
             eng = result.system.engine
             kernel = (eng.events_processed, eng.events_cancelled, eng.now)
-            assert kernel == TestEngineLogBytesPinned.DETAILED_KERNEL
+            assert kernel == TestEngineLogBytesPinned.DETAILED_KERNEL, \
+                pin_failure("the detailed kernel counts",
+                            TestEngineLogBytesPinned.NUMPY)
         return result.log
 
     @pytest.mark.parametrize("engine", sorted(PINNED))
     def test_memory_and_spilled_logs_match_the_pin(self, engine, tmp_path,
-                                                   monkeypatch):
+                                                   monkeypatch, pin_failure):
         import hashlib
 
         from repro.telemetry.sink import (
@@ -324,19 +328,63 @@ class TestEngineLogBytesPinned:
 
         monkeypatch.delenv(SPILL_ENV_VAR, raising=False)
         lines, digest = self.PINNED[engine]
-        log = self._run(engine)
+        moved = pin_failure(f"the {engine} log", self.NUMPY)
+        log = self._run(engine, pin_failure)
         assert isinstance(log.sink, MemorySink)
-        assert len(log) == lines
-        assert hashlib.sha256(log.dumps().encode()).hexdigest() == digest
+        assert len(log) == lines, moved
+        assert hashlib.sha256(log.dumps().encode()).hexdigest() == digest, \
+            moved
         # every status class, every leave reason the scenario can produce
         assert {type(r).__name__ for r in log.reports()} == {
             "ActivityReport", "QoSReport", "TrafficReport", "PartnerReport"}
 
         set_spill_root(tmp_path / "spill")
         try:
-            spilled = self._run(engine)
+            spilled = self._run(engine, pin_failure)
         finally:
             set_spill_root(None)
         assert isinstance(spilled.sink, SpillSink)
-        assert len(spilled) == lines
-        assert hashlib.sha256(spilled.dumps().encode()).hexdigest() == digest
+        assert len(spilled) == lines, moved
+        assert hashlib.sha256(spilled.dumps().encode()).hexdigest() == \
+            digest, moved
+
+    @pytest.mark.parametrize("engine", sorted(PINNED))
+    def test_folds_over_the_log_equal_folds_over_the_general_decoder(
+            self, engine, pin_failure):
+        """The seven folds ``fold_log`` feeds through the wire decoder give,
+        by ``repr``, what they give fed with each stored line's
+        ``parse_report(decode_log_string(...))``."""
+        from repro.analysis.sessions import SessionTable
+        from repro.analysis.streaming import (
+            ClassifyUsersFold,
+            ConcurrentUsersFold,
+            ContinuitySamplesFold,
+            JoinFunnelFold,
+            PartnerEventsFold,
+            SessionTableFold,
+            UploadTotalsFold,
+            fold_log,
+        )
+        from repro.telemetry.logstring import decode_log_string
+        from repro.telemetry.reports import parse_report
+
+        def seven():
+            return (SessionTableFold(), ClassifyUsersFold(),
+                    UploadTotalsFold(), ContinuitySamplesFold(),
+                    PartnerEventsFold(),
+                    ConcurrentUsersFold(t1=1200.0, step_s=30.0),
+                    JoinFunnelFold())
+
+        def by_repr(result):
+            if isinstance(result, SessionTable):
+                result = result.sessions()
+            elif isinstance(result, tuple):  # the grid and the counts
+                result = [column.tolist() for column in result]
+            return repr(result)
+
+        log = self._run(engine, pin_failure)
+        general = [parse_report(decode_log_string(entry.log_string))
+                   for entry in log.iter_entries()]
+        assert len(general) == len(log)
+        assert list(map(by_repr, fold_log(log, *seven()))) == \
+            list(map(by_repr, fold_log(general, *seven())))

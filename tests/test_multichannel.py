@@ -163,8 +163,10 @@ class TestMultiChannelLogPinned:
                 "a54d6aa90f73015f77b1de7fcfb0abfb")
     #: (events_processed, events_cancelled, engine.now)
     KERNEL = (35571, 57, 400.0)
+    #: the numpy (major.minor) the pins were checked under
+    NUMPY = "2.4"
 
-    def test_merged_log_and_kernel_counts_match_the_pin(self):
+    def test_merged_log_and_kernel_counts_match_the_pin(self, pin_failure):
         import hashlib
 
         from repro.core.config import SystemConfig
@@ -176,7 +178,8 @@ class TestMultiChannelLogPinned:
         dep.run(until=400.0)
         log = dep.merged_log()
         digest = hashlib.sha256(log.dumps().encode()).hexdigest()
-        assert (len(log), digest) == self.LOG
+        assert (len(log), digest) == self.LOG, \
+            pin_failure("the merged log", self.NUMPY)
         eng = dep.engine
         assert (eng.events_processed, eng.events_cancelled, eng.now) \
-            == self.KERNEL
+            == self.KERNEL, pin_failure("the kernel counts", self.NUMPY)

@@ -464,3 +464,56 @@ class TestPositionalDecoder:
         assert entry.parse() is not entry.parse()
         assert not hasattr(entry, "__dict__") or set(vars(entry)) == {
             "arrival_time", "log_string"}
+
+
+class TestWireBuiltReports:
+    """``_from_wire`` builds a report without the dataclass ``__init__``
+    (``object.__new__`` and one ``__dict__`` update); the report must be
+    indistinguishable from the one the constructor builds."""
+
+    @staticmethod
+    def _pair(report):
+        """The report its wire string decodes to through ``_from_wire``,
+        and the one ``from_params`` builds with the constructor."""
+        wire = report.to_log_string()
+        cls = type(report)
+        match = cls._WIRE.fullmatch(wire)
+        assert match is not None
+        return cls._from_wire(*match.groups()), parse_report(
+            decode_log_string(wire))
+
+    @given(report=_REPORTS.filter(lambda r: not getattr(r, "events", ())))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_the_constructor_built_report(self, report):
+        import copy
+        import dataclasses
+        import pickle
+
+        wired, built = self._pair(report)
+        assert type(wired) is type(built)
+        assert repr(wired) == repr(built)
+        assert list(vars(wired)) == list(vars(built))
+        assert [f.name for f in dataclasses.fields(wired)] == list(vars(wired))
+        if any(v != v for v in vars(built).values()):  # nan: never ==
+            return
+        assert wired == built and hash(wired) == hash(built)
+        for twin in (pickle.loads(pickle.dumps(wired)), copy.copy(wired),
+                     dataclasses.replace(wired)):
+            assert type(twin) is type(built) and twin == built
+            assert list(vars(twin)) == list(vars(built))
+        assert dataclasses.replace(wired, node_id=-1) == \
+            dataclasses.replace(built, node_id=-1)
+
+    @pytest.mark.parametrize(
+        "report", [r for r in TestFastWireEncoding.REPORTS
+                   if not getattr(r, "events", ())],
+        ids=lambda r: type(r).__name__)
+    def test_frozen(self, report):
+        import dataclasses
+
+        wired, built = self._pair(report)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            wired.node_id = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del wired.time
+        assert wired == built
