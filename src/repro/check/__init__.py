@@ -9,10 +9,10 @@ stochastic or ordering-sensitive operation routes through
 silently poisons cache keys and the parity harness.
 
 v2 grew the per-file determinism lint into a **two-pass project
-analyzer**: pass 1 harvests cross-module facts from every file
-(telemetry wire fields written by ``Report.to_params`` /
-``to_log_string``, fields each analysis ``Fold`` reads, obs metric
-names emitted vs referenced, the async function inventory -- see
+analyzer**: pass 1 harvests cross-module facts from every file (the
+telemetry fields each report's ``_wire_form`` table puts on the wire,
+fields each analysis ``Fold`` reads, obs metric names emitted vs
+referenced, the async function inventory -- see
 :mod:`repro.check.project`); pass 2 runs the per-file rules plus
 *project rules* that check producer/consumer contracts across module
 boundaries -- the drift class that corrupts reproduced figures without
@@ -42,9 +42,8 @@ ASY001  blocking call (``time.sleep``, sync socket/file I/O,
 ASY002  coroutine called but never awaited or scheduled (project)
 ASY003  ``create_task``/``ensure_future`` result dropped without a
         reference or done-callback (silent task death)
-SCH001  telemetry field read (fold / ``from_params``) that no report
-        emits; also ``to_params``/``to_log_string`` twin drift (project)
-SCH002  *warn*: emitted telemetry field nothing consumes (project)
+SCH001  telemetry field a fold reads that no report defines or no
+        report's wire table carries (project)
 OBS001  metric name referenced in watch/exporters that no
         instrumentation site emits (project)
 UNIT001 additive arithmetic mixing unit suffixes (``_s``/``_ms`` vs

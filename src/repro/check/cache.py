@@ -26,7 +26,7 @@ from repro.check.project import FileFacts
 
 __all__ = ["ResultCache", "rule_signature"]
 
-_ENTRY_VERSION = 1
+_ENTRY_VERSION = 2
 
 
 def rule_signature(rules: List[Rule]) -> str:

@@ -68,8 +68,8 @@ class Finding:
     path: str
     line: int
     col: int
-    #: ``"error"`` findings gate the exit code; ``"warn"`` ones (SCH002)
-    #: surface drift worth a look without failing CI
+    #: ``"error"`` findings gate the exit code; ``"warn"`` ones surface
+    #: drift worth a look without failing CI
     severity: str = "error"
 
     def render(self) -> str:

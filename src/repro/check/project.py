@@ -11,14 +11,14 @@ called without ever being awaited or scheduled.  All of these are
 This module is the first pass of the two-pass analyzer:
 
 * :func:`harvest_file` walks one parsed module and extracts a
-  :class:`FileFacts` record -- telemetry wire fields written by
-  ``Report.to_params`` / ``to_log_string`` f-strings and read back by
-  ``from_params``, report attributes each ``Fold.update`` touches,
-  obs counter/gauge names emitted vs referenced, the async function
-  inventory, plus the file's (statement-span-expanded) suppression map.
+  :class:`FileFacts` record -- each report class's fields and the wire
+  key its ``_wire_form`` table gives each field, report attributes each
+  ``Fold.update`` touches, obs counter/gauge names emitted vs
+  referenced, the async function inventory, plus the file's
+  (statement-span-expanded) suppression map.
 * :class:`ProjectContext` merges every file's facts into the global
-  tables project rules (``SCH001``/``SCH002``/``OBS001``/``ASY002``)
-  check in pass 2.
+  tables project rules (``SCH001``/``OBS001``/``ASY002``) check in
+  pass 2.
 
 Facts are plain JSON-serializable data on purpose: the ``--cache``
 result cache stores them per content hash, so a warm run rebuilds the
@@ -57,9 +57,6 @@ _EMIT_CALLEE_RE = re.compile(
 #: module-level constants that enumerate metric names for a consumer
 #: (e.g. watch.py's ``_WORK_COUNTERS`` preference table)
 _REF_COLLECTION_RE = re.compile(r"COUNTER|GAUGE|METRIC")
-
-#: wire keys inside a log-string f-string: ``?type=`` / ``&ci=`` ...
-_WIRE_KEY_RE = re.compile(r"[?&]([A-Za-z_][A-Za-z0-9_]*)=")
 
 Loc = Tuple[int, int]  # (line, col)
 
@@ -154,37 +151,17 @@ class ReportClassFacts:
     fields: List[str] = field(default_factory=list)
     #: every attribute a consumer may read: fields + ClassVars + methods
     attrs: List[str] = field(default_factory=list)
-    #: wire key -> first write location, from ``to_params``/``_header``
-    param_writes: Dict[str, Loc] = field(default_factory=dict)
-    #: wire key -> first write location, from ``to_log_string`` f-strings
-    wire_writes: Dict[str, Loc] = field(default_factory=dict)
-    #: wire key -> first read location, from ``from_params``
-    param_reads: Dict[str, Loc] = field(default_factory=dict)
-    #: constructor kwarg -> wire keys its value expression reads
-    kwarg_keys: Dict[str, List[str]] = field(default_factory=dict)
+    #: field -> the wire key its ``_wire_form`` table entry gives it
+    field_keys: Dict[str, str] = field(default_factory=dict)
 
     def to_json(self) -> Dict[str, object]:
-        return {
-            "bases": self.bases, "fields": self.fields, "attrs": self.attrs,
-            "param_writes": {k: list(v) for k, v in self.param_writes.items()},
-            "wire_writes": {k: list(v) for k, v in self.wire_writes.items()},
-            "param_reads": {k: list(v) for k, v in self.param_reads.items()},
-            "kwarg_keys": self.kwarg_keys,
-        }
+        return {"bases": self.bases, "fields": self.fields,
+                "attrs": self.attrs, "field_keys": self.field_keys}
 
     @classmethod
     def from_json(cls, d: Dict[str, Any]) -> "ReportClassFacts":
-        return cls(
-            bases=list(d["bases"]), fields=list(d["fields"]),
-            attrs=list(d["attrs"]),
-            param_writes={k: (v[0], v[1])
-                          for k, v in d["param_writes"].items()},
-            wire_writes={k: (v[0], v[1])
-                         for k, v in d["wire_writes"].items()},
-            param_reads={k: (v[0], v[1])
-                         for k, v in d["param_reads"].items()},
-            kwarg_keys={k: list(v) for k, v in d["kwarg_keys"].items()},
-        )
+        return cls(bases=list(d["bases"]), fields=list(d["fields"]),
+                   attrs=list(d["attrs"]), field_keys=dict(d["field_keys"]))
 
 
 @dataclass
@@ -199,8 +176,6 @@ class FileFacts:
     module: str
     #: class name -> telemetry contract facts
     report_classes: Dict[str, ReportClassFacts] = field(default_factory=dict)
-    #: wire keys read outside report classes (``parse_report`` dispatch)
-    global_param_reads: Dict[str, Loc] = field(default_factory=dict)
     #: (fold class, attr, line, col) for each ``report.<attr>`` read
     fold_reads: List[Tuple[str, str, int, int]] = field(default_factory=list)
     #: metric name -> first emit location
@@ -229,8 +204,6 @@ class FileFacts:
             "module": self.module,
             "report_classes": {k: v.to_json()
                                for k, v in self.report_classes.items()},
-            "global_param_reads": {k: list(v) for k, v in
-                                   self.global_param_reads.items()},
             "fold_reads": [list(t) for t in self.fold_reads],
             "metric_emits": {k: list(v)
                              for k, v in self.metric_emits.items()},
@@ -253,8 +226,6 @@ class FileFacts:
             module=d["module"],
             report_classes={k: ReportClassFacts.from_json(v)
                             for k, v in d["report_classes"].items()},
-            global_param_reads={k: (v[0], v[1]) for k, v in
-                                d["global_param_reads"].items()},
             fold_reads=[(t[0], t[1], t[2], t[3]) for t in d["fold_reads"]],
             metric_emits={k: (v[0], v[1])
                           for k, v in d["metric_emits"].items()},
@@ -296,11 +267,19 @@ def _base_names(node: ast.ClassDef) -> List[str]:
     return names
 
 
+def _wire_table(node: ast.ClassDef) -> Optional[ast.Call]:
+    """The class's ``@_wire_form(...)`` decorator call, if it has one."""
+    for deco in node.decorator_list:
+        if (isinstance(deco, ast.Call)
+                and _terminal_name(deco.func) == "_wire_form"):
+            return deco
+    return None
+
+
 def _is_report_class(node: ast.ClassDef, bases: List[str]) -> bool:
     if any(b == "Report" or b.endswith("Report") for b in bases):
         return True
-    return any(isinstance(s, ast.FunctionDef) and s.name == "to_params"
-               for s in node.body)
+    return _wire_table(node) is not None
 
 
 def _is_fold_class(node: ast.ClassDef, bases: List[str]) -> bool:
@@ -316,75 +295,6 @@ def _str_const(node: ast.AST) -> Optional[str]:
 
 def _loc(node: ast.AST) -> Loc:
     return (getattr(node, "lineno", 1), getattr(node, "col_offset", 0))
-
-
-def _collect_param_writes(fn: ast.AST, out: Dict[str, Loc]) -> None:
-    """Wire keys written by a ``to_params``-style method: subscript
-    assignments with constant keys plus dict-literal keys."""
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript):
-                    key = _str_const(target.slice)
-                    if key is not None:
-                        out.setdefault(key, _loc(target))
-        elif isinstance(node, ast.Dict):
-            for key_node in node.keys:
-                key = _str_const(key_node) if key_node is not None else None
-                if key is not None:
-                    out.setdefault(key, _loc(key_node))
-
-
-def _collect_wire_writes(fn: ast.AST, out: Dict[str, Loc]) -> None:
-    """Wire keys appearing as ``?key=`` / ``&key=`` in any string piece
-    of a ``to_log_string``-style method (f-strings included)."""
-    for node in ast.walk(fn):
-        text = _str_const(node)
-        if text is None:
-            continue
-        for match in _WIRE_KEY_RE.finditer(text):
-            out.setdefault(match.group(1), _loc(node))
-
-
-def _collect_param_reads(fn: ast.AST, out: Dict[str, Loc]) -> None:
-    """Wire keys a ``from_params``-style method reads: ``p["k"]``,
-    ``p.get("k", ...)`` and ``"k" in p`` membership probes."""
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Subscript):
-            key = _str_const(node.slice)
-            if key is not None and isinstance(node.value, ast.Name):
-                out.setdefault(key, _loc(node))
-        elif (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "get" and node.args):
-            key = _str_const(node.args[0])
-            if key is not None:
-                out.setdefault(key, _loc(node))
-        elif isinstance(node, ast.Compare) and node.ops:
-            if isinstance(node.ops[0], ast.In):
-                key = _str_const(node.left)
-                if key is not None:
-                    out.setdefault(key, _loc(node))
-
-
-def _collect_kwarg_keys(fn: ast.AST, out: Dict[str, List[str]]) -> None:
-    """Constructor kwarg -> wire keys read inside its value expression.
-
-    ``total_up=float(p.get("tup", "0"))`` maps the dataclass field
-    ``total_up`` to the wire key ``tup`` -- the bridge that lets SCH001
-    relate a fold's attribute read back to what ``to_params`` emits.
-    """
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        for kw in node.keywords:
-            if kw.arg is None:
-                continue
-            keys: Dict[str, Loc] = {}
-            _collect_param_reads(kw.value, keys)
-            if keys:
-                merged = sorted(set(out.get(kw.arg, [])) | set(keys))
-                out[kw.arg] = merged
 
 
 class _Harvester(ast.NodeVisitor):
@@ -426,14 +336,12 @@ class _Harvester(ast.NodeVisitor):
                     rc.fields.append(stmt.target.id)
             elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 rc.attrs.append(stmt.name)
-                if stmt.name in ("to_params", "_header"):
-                    _collect_param_writes(stmt, rc.param_writes)
-                elif stmt.name in ("to_log_string", "_header_strs",
-                                   "log_strings"):
-                    _collect_wire_writes(stmt, rc.wire_writes)
-                elif stmt.name == "from_params":
-                    _collect_param_reads(stmt, rc.param_reads)
-                    _collect_kwarg_keys(stmt, rc.kwarg_keys)
+        table = _wire_table(node)
+        for entry in table.args if table is not None else ():
+            if isinstance(entry, ast.Tuple) and len(entry.elts) >= 2:
+                key, name = (_str_const(e) for e in entry.elts[:2])
+                if key is not None and name is not None:
+                    rc.field_keys[name] = key
 
     def _harvest_fold_class(self, node: ast.ClassDef) -> None:
         update = next(
@@ -451,9 +359,6 @@ class _Harvester(ast.NodeVisitor):
 
     # -- functions -----------------------------------------------------
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        if (self._func_depth == 0 and not self._class_stack
-                and node.name in ("parse_report", "from_params")):
-            _collect_param_reads(node, self.facts.global_param_reads)
         self._func_depth += 1
         self.generic_visit(node)
         self._func_depth -= 1
@@ -549,9 +454,8 @@ class ProjectContext:
     """Merged fact tables of every checked file (pass-2 input).
 
     Exposes the global views project rules consume; the per-file
-    records stay reachable through :attr:`files` for rules that need
-    per-class detail (the to_params/to_log_string twin check) or a
-    finding's suppression map.
+    records stay reachable through :attr:`files` for a finding's
+    suppression map.
     """
 
     def __init__(self, files: Iterable[FileFacts]) -> None:
@@ -559,11 +463,7 @@ class ProjectContext:
 
         self.report_attrs: Set[str] = set()
         self.report_fields: Set[str] = set()
-        #: wire key -> every class emitting it (via to_params OR wire)
-        self.emitted_keys: Set[str] = set()
-        #: wire key -> read anywhere (from_params or parse_report)
-        self.read_keys: Set[str] = set()
-        #: dataclass field -> wire keys from_params maps it to
+        #: field -> the wire keys the report classes' tables give it
         self.field_keys: Dict[str, Set[str]] = {}
         self.metric_emits: Set[str] = set()
         self.metric_prefixes: List[str] = []
@@ -574,44 +474,19 @@ class ProjectContext:
         self.suppressions_by_path: Dict[
             str, Dict[int, Optional[FrozenSet[str]]]] = {}
 
-        class_facts: Dict[str, ReportClassFacts] = {}
         for facts in self.files:
-            class_facts.update(facts.report_classes)
             for rc in facts.report_classes.values():
                 self.report_attrs.update(rc.attrs)
                 self.report_fields.update(rc.fields)
-                self.read_keys.update(rc.param_reads)
-                for attr, keys in rc.kwarg_keys.items():
-                    self.field_keys.setdefault(attr, set()).update(keys)
-            self.read_keys.update(facts.global_param_reads)
+                for name, key in rc.field_keys.items():
+                    self.field_keys.setdefault(name, set()).add(key)
             self.metric_emits.update(facts.metric_emits)
             self.metric_prefixes.extend(facts.metric_prefixes)
             self.async_funcs.update(facts.async_funcs)
             self.async_methods.update(facts.async_methods)
             self.sync_methods.update(facts.sync_methods)
             self.suppressions_by_path[facts.path] = facts.suppressions
-
-        # emitted keys include what base classes emit (ActivityReport
-        # inherits the header fields its ``_header()`` call produces)
-        self._class_facts = class_facts
-        for name in class_facts:
-            self.emitted_keys.update(self.class_emitted(name))
         self.metric_prefixes = sorted(set(self.metric_prefixes))
-
-    def class_emitted(self, class_name: str,
-                      _seen: Optional[Set[str]] = None) -> Set[str]:
-        """Wire keys ``class_name`` emits, own methods plus inherited."""
-        seen = _seen if _seen is not None else set()
-        if class_name in seen:
-            return set()
-        seen.add(class_name)
-        rc = self._class_facts.get(class_name)
-        if rc is None:
-            return set()
-        keys = set(rc.param_writes) | set(rc.wire_writes)
-        for base in rc.bases:
-            keys |= self.class_emitted(base, seen)
-        return keys
 
     def emits_metric(self, name: str) -> bool:
         """Whether any instrumentation site can produce metric ``name``."""

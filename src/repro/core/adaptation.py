@@ -22,7 +22,6 @@ qualified candidates the deployed system picks uniformly at random (the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -30,7 +29,6 @@ import numpy as np
 from repro.core.partnership import PartnerState
 
 __all__ = [
-    "AdaptationConfig",
     "CooldownTimer",
     "substream_lag",
     "inequality1_ok",
@@ -38,17 +36,6 @@ __all__ = [
     "qualified_parents",
     "choose_parent",
 ]
-
-
-@dataclass(frozen=True)
-class AdaptationConfig:
-    """Thresholds in sub-stream-local block units (= seconds)."""
-
-    ts_blocks: float
-    tp_blocks: float
-    ta_seconds: float
-    cooldown_enabled: bool = True
-    parent_choice: str = "random"  # "random" | "best"
 
 
 class CooldownTimer:

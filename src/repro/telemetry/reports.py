@@ -7,10 +7,17 @@ three types: QoS (perceived quality, e.g. fraction of video missing at the
 playback deadline), traffic (bytes up/down) and partner (a compact series
 of partner add/drop activities, batched to reduce log-server load).
 
-Every report can serialize itself to the flat ``name=value`` dictionary
-used by the log-string codec, and be parsed back.  ``session_id`` ties the
-four activity events of one session together; ``user_id`` ties a user's
-retry sessions together (Fig. 10b).
+Each class declares its log string once, in its :func:`_wire_form`
+table: the ``(wire key, field, format)`` of every ``name=value`` pair,
+in line order, after the header the base :class:`Report` declares.  The
+format is the measurement -- a time goes on the wire to the
+millisecond, a continuity index to five decimals -- so everything that
+writes or reads a line is compiled from that one table: ``log_strings``
+(a batch of rows), ``to_log_string`` (one report), ``_WIRE`` and
+``_from_wire`` (the canonical line, read by position) and
+``from_params`` (any parameter dict).  ``session_id`` ties the four
+activity events of one session together; ``user_id`` ties a user's retry
+sessions together (Fig. 10b).
 """
 
 from __future__ import annotations
@@ -20,11 +27,11 @@ import enum
 import re
 import typing
 from dataclasses import dataclass, field
-from typing import (Callable, ClassVar, Dict, List, Optional, Pattern,
-                    Sequence, Tuple, Type)
+from typing import (Callable, ClassVar, Dict, List, NamedTuple, Optional,
+                    Pattern, Tuple, Type)
 from urllib.parse import quote
 
-from .logstring import LOG_PATH, decode_log_string, encode_log_string
+from .logstring import LOG_PATH, decode_log_string
 
 __all__ = [
     "ActivityEvent",
@@ -60,165 +67,274 @@ class LeaveReason(str, enum.Enum):
                                # the server in this case -- see NodeReporter)
 
 
-_HEADER_KEYS = ("t", "node", "user", "sess")
-_HEADER_FIELDS = ("time", "node_id", "user_id", "session_id")
 _TYPE_AT = len(f"{LOG_PATH}?type=")
 
+#: one ``(wire key, field, format)`` entry of a wire table
+_Entry = Tuple[str, str, str]
 
-def _wire_pattern(report_type: str, *keys: str,
-                  optional: Tuple[str, ...] = ()) -> Pattern[str]:
-    """The canonical log string of one report class, as a pattern: the
-    header keys then ``keys``, in the order ``to_log_string`` writes
-    them, each value captured raw.  A value may hold anything but ``&``
-    (the separator) and ``%``/``+`` (the codec's escapes), so a string
-    that matches in full decodes to exactly the captured groups: every
-    key once, nothing to unquote, and no room for a further key.
-    """
-    parts = [re.escape(f"{LOG_PATH}?type={report_type}")]
-    for key in _HEADER_KEYS + keys:
-        piece = f"&{key}=([^&%+]*)"
-        parts.append(f"(?:{piece})?" if key in optional else piece)
-    return re.compile("".join(parts))
+#: a value on the canonical line: anything but ``&`` (the separator) and
+#: ``%``/``+`` (the codec's escapes), so a line that matches in full
+#: decodes to exactly the captured groups, with nothing to unquote
+_RAW = "[^&%+]*"
 
 
-def _wire_decoder(cls: type, keys: Sequence[Tuple[str, str]],
-                  optional: Tuple[str, ...]) -> Callable[..., "Report"]:
-    """The function that builds a ``cls`` report from the groups of its
-    wire pattern: the header then ``keys``, ``(wire key, field)`` pairs.
+def _flag(value: str) -> bool:
+    """A flag's wire value: ``1`` or ``0``, and nothing else."""
+    if value == "1":
+        return True
+    if value == "0":
+        return False
+    raise ValueError(f"not a flag: {value!r}")
 
-    It returns what ``cls(...)`` of the converted values returns, without
-    calling the frozen dataclass ``__init__``, which pays one
-    ``object.__setattr__`` per field: the report comes from
-    ``object.__new__`` and gets its fields in one ``__dict__.update``, in
-    field order.  Each value goes through the conversion ``from_params``
-    applies to its field's type -- ``float``, ``int``, ``== "1"`` for a
-    flag, and for an enum a lookup by value that falls back to the enum
-    call, so an unknown value raises its ``ValueError``; the value of an
-    absent ``optional`` key is ``None``.  A field no key carries gets its
-    default.  The function is compiled once per class, as ``dataclass``
-    compiles ``__init__``, so a line costs no loop over fields.
-    """
+
+def _join_items(items: tuple) -> str:
+    """A tuple field's wire value: its items' ``encode()`` tokens joined
+    by ``|``, percent-escaped as the codec escapes any value."""
+    return quote("|".join(item.encode() for item in items), safe="")
+
+
+def _split_items(item: type, value: str) -> tuple:
+    """The inverse of :func:`_join_items` on an unescaped value."""
+    return tuple(map(item.decode, value.split("|"))) if value else ()
+
+
+class _Codec(NamedTuple):
+    """How one field type goes on the wire.  ``$`` stands for the value
+    (``render``) or its wire string (``parse``, ``matched``)."""
+
+    #: f-string field that writes the value
+    render: str
+    #: expression that reads the value back from any wire string
+    parse: str
+    #: expression that reads it back from a string ``group`` matched
+    matched: str
+    #: pattern of the value on the canonical line; ``None`` when its
+    #: value is always escaped, so a line carrying it is never canonical
+    group: Optional[str]
+    #: whether ``log_strings`` takes one value per batch, not a column
+    per_batch: bool = False
+
+
+def _codec(cls: type, name: str, kind: object, fmt: str,
+           namespace: Dict[str, object]) -> _Codec:
+    """The :class:`_Codec` of field ``name`` of type ``kind``, written
+    with format spec ``fmt``; the names its expressions use go into
+    ``namespace``."""
+    if kind is bool:
+        return _Codec("{'1' if $ else '0'}", "_flag($)", '$ == "1"', "[01]")
+    if kind in (int, float):
+        parse = f"{kind.__name__}($)"
+        return _Codec(f"{{${':' if fmt else ''}{fmt}}}", parse, parse, _RAW)
+    if isinstance(kind, type) and issubclass(kind, enum.Enum):
+        namespace[f"_{kind.__name__}"] = kind
+        namespace[f"_{kind.__name__}_by_value"] = {m.value: m for m in kind}
+        # a miss (or a falsy member) goes through the enum call, which
+        # raises the ValueError of an unknown value
+        parse = f"_{kind.__name__}_by_value.get($) or _{kind.__name__}($)"
+        return _Codec("{$.value}", parse, parse, _RAW, per_batch=True)
+    item, *rest = typing.get_args(kind) or (None,)
+    if (typing.get_origin(kind) is tuple and rest == [Ellipsis]
+            and hasattr(item, "decode")):
+        namespace[f"_{item.__name__}"] = item
+        parse = f"_split_items(_{item.__name__}, $)"
+        return _Codec("{_join_items($)}", parse, parse, None)
+    raise TypeError(f"{cls.__name__}.{name}: no wire conversion for "
+                    f"{kind!r}")
+
+
+def _compile(cls: type, table: Tuple[_Entry, ...], optional: Tuple[str, ...],
+             required: Tuple[str, ...]) -> None:
+    """Give ``cls`` its wire codecs, compiled from ``table`` (see
+    :func:`_wire_form`) once, as ``dataclass`` compiles ``__init__``, so
+    a line costs no loop over fields."""
     if hasattr(cls, "__post_init__"):
         raise TypeError(f"{cls.__name__} has a __post_init__ that the wire "
-                        "decoder would skip")
-    wire = dict(zip(_HEADER_FIELDS, _HEADER_KEYS))
-    wire.update((name, key) for key, name in keys)
-    arg_of = {key: f"v{i}" for i, key in enumerate(_HEADER_KEYS + tuple(
-        key for key, _ in keys))}
+                        "decoders would skip")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    missing = sorted(name for _, name, _ in table if name not in fields)
+    if missing:
+        raise TypeError(f"{cls.__name__} has no field {missing}")
     hints = typing.get_type_hints(cls)
     namespace: Dict[str, object] = {
-        "_new": object.__new__, "_cls": cls, "float": float, "int": int}
-    values = []
-    for f in dataclasses.fields(cls):
-        key = wire.pop(f.name, None)
-        if key is None:  # not on the wire: the constructor's default
-            if f.default_factory is dataclasses.MISSING:
-                namespace[f"_d_{f.name}"] = f.default
-                values.append(f"{f.name}=_d_{f.name}")
-            else:
-                namespace[f"_d_{f.name}"] = f.default_factory
-                values.append(f"{f.name}=_d_{f.name}()")
-            continue
-        arg, kind = arg_of[key], hints[f.name]
-        if key in optional:
+        "_new": object.__new__, "_cls": cls, "float": float, "int": int,
+        "_flag": _flag, "_join_items": _join_items,
+        "_split_items": _split_items}
+    default: Dict[str, str] = {}
+    for f in fields.values():
+        if f.default is not dataclasses.MISSING:
+            namespace[f"_d_{f.name}"] = f.default
+            default[f.name] = f"_d_{f.name}"
+        elif f.default_factory is not dataclasses.MISSING:
+            namespace[f"_d_{f.name}"] = f.default_factory
+            default[f.name] = f"_d_{f.name}()"
+    codecs = []
+    for key, name, fmt in table:
+        kind = hints[name]
+        if type(None) in typing.get_args(kind):  # Optional[X]: X, or None
             (kind,) = (a for a in typing.get_args(kind) if a is not type(None))
-        if kind is bool:
-            value = f'{arg} == "1"'
-        elif kind in (int, float):
-            value = f"{kind.__name__}({arg})"
-        elif isinstance(kind, type) and issubclass(kind, enum.Enum):
-            namespace[f"_{kind.__name__}"] = kind
-            namespace[f"_{kind.__name__}_by_value"] = {m.value: m for m in kind}
-            # a miss (or a falsy member) goes through the enum call
-            value = (f"_{kind.__name__}_by_value.get({arg}) "
-                     f"or _{kind.__name__}({arg})")
+        codecs.append((key, name, _codec(cls, name, kind, fmt, namespace)))
+
+    def piece(key: str, name: str, codec: _Codec, value: str) -> str:
+        """The f-string source of one ``&key=value`` pair; an optional
+        key is left off while its field is ``None`` or empty."""
+        text = f"&{key}={codec.render.replace('$', value)}"
+        if key not in optional:
+            return text
+        absent = (f"{value} is None" if fields[name].default is None
+                  else f"not {value}")
+        return f"{{'' if {absent} else f'{text}'}}"
+
+    head = f"{LOG_PATH}?type={cls.TYPE}"
+
+    # log_strings: ``time`` and enum fields take one value per batch,
+    # formatted once, every other field a column; a pair whose value is
+    # always escaped is left off (event-free rows)
+    params, columns, batch, row = ["cls"], [], [], [head]
+    for i, (key, name, codec) in enumerate(codecs):
+        if codec.group is None:
+            continue
+        if name == "time" or codec.per_batch:
+            params.append(f"{name}={default[name]}" if key in optional
+                          else name)
+            batch.append(f'    _{i} = f"{piece(key, name, codec, name)}"\n')
+            row.append(f"{{_{i}}}")
         else:
-            raise TypeError(f"{cls.__name__}.{f.name}: no wire conversion "
-                            f"for {kind!r}")
-        if key in optional:
-            value = f"None if {arg} is None else {value}"
-        values.append(f"{f.name}={value}")
-    if wire:
-        raise TypeError(f"{cls.__name__} has no field {sorted(wire)}")
-    source = (f"def _from_wire({', '.join(arg_of.values())}):\n"
-              f"    report = _new(_cls)\n"
-              f"    report.__dict__.update({', '.join(values)})\n"
-              f"    return report\n")
-    exec(source, namespace)
-    decode = namespace["_from_wire"]
-    decode.__qualname__ = f"{cls.__qualname__}._from_wire"  # type: ignore[attr-defined]
-    return decode  # type: ignore[return-value]
+            params.append(name)
+            columns.append((f"_{i}", name))
+            row.append(piece(key, name, codec, f"_{i}"))
+    names, values = zip(*columns)
+    log_strings = (
+        f"def log_strings({', '.join(params)}):\n{''.join(batch)}"
+        f'    return [f"{"".join(row)}"\n'
+        f"            for {', '.join(names)} in zip({', '.join(values)})]\n")
+
+    to_log_string = (
+        "def to_log_string(self):\n"
+        f'    return f"{head}'
+        + "".join(piece(key, name, codec, f"self.{name}")
+                  for key, name, codec in codecs) + '"\n')
+
+    # _WIRE and _from_wire: the canonical line and its groups, in order
+    pattern = [re.escape(head)]
+    args: Dict[str, str] = {}
+    for key, name, codec in codecs:
+        if codec.group is None:
+            continue
+        pair = f"&{key}=({codec.group})"
+        pattern.append(f"(?:{pair})?" if key in optional else pair)
+        args[name] = f"v{len(args)}"
+
+    from_wire = []
+    from_params = []
+    by_name = {name: (key, codec) for key, name, codec in codecs}
+    for name in fields:
+        if name not in by_name:  # not on the wire: the constructor's default
+            from_wire.append(f"{name}={default[name]}")
+            from_params.append(f"{name}={default[name]}")
+            continue
+        key, codec = by_name[name]
+        if name not in args:  # always escaped: never on a canonical line
+            from_wire.append(f"{name}={default[name]}")
+        elif key in optional:
+            from_wire.append(f"{name}={default[name]} if {args[name]} is None"
+                             f" else {codec.matched.replace('$', args[name])}")
+        else:
+            from_wire.append(f"{name}={codec.matched.replace('$', args[name])}")
+        # the general path: a key absent from the dict reads as its
+        # field's default, unless it is required or there is none
+        expr = codec.parse.replace("$", f'p["{key}"]')
+        if key in required or name not in default:
+            from_params.append(f"{name}={expr}")
+        else:
+            from_params.append(
+                f'{name}={expr} if "{key}" in p else {default[name]}')
+    decoders = (
+        f"def _from_wire({', '.join(args.values())}):\n"
+        "    report = _new(_cls)\n"
+        f"    report.__dict__.update({', '.join(from_wire)})\n"
+        "    return report\n"
+        "def from_params(p):\n"
+        "    report = _new(_cls)\n"
+        f"    report.__dict__.update({', '.join(from_params)})\n"
+        "    return report\n")
+
+    exec(log_strings + to_log_string + decoders, namespace)
+    for name in ("log_strings", "to_log_string", "_from_wire", "from_params"):
+        namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    cls.log_strings = classmethod(namespace["log_strings"])
+    cls.to_log_string = namespace["to_log_string"]
+    cls._WIRE = re.compile("".join(pattern))
+    cls._from_wire = staticmethod(namespace["_from_wire"])
+    cls.from_params = staticmethod(namespace["from_params"])
 
 
-def _wire_form(*keys: Tuple[str, str], optional: Tuple[str, ...] = ()):
-    """Class decorator giving a report class its canonical wire form.
+def _wire_form(*entries: _Entry, optional: Tuple[str, ...] = (),
+               required: Tuple[str, ...] = ()):
+    """Class decorator: the one declaration of a report's log string.
 
-    ``keys`` pairs each key after the header with the field it carries,
-    in the order ``to_log_string`` writes them; a key in ``optional`` may
-    be absent.  The class gets ``_WIRE``, the :func:`_wire_pattern` of
-    those keys, and ``_from_wire``, the :func:`_wire_decoder` of the same
-    keys, which builds the report from ``_WIRE``'s groups.
+    ``entries`` are the ``(wire key, field, format)`` of each
+    ``name=value`` pair after the base class's, in line order; ``format``
+    is the spec a number is written with (``.3f`` keeps milliseconds).
+    A key in ``optional`` is left off the line while its field is
+    ``None`` or empty.  Reading a line, a key it lacks gives its field's
+    default -- on the canonical line only an ``optional`` one may be
+    lacking; on the general path any key may, unless it is in
+    ``required`` or its field has no default.
+
+    A class without a ``TYPE`` (the :class:`Report` header) only
+    declares the entries its subclasses' lines start with.  Every other
+    class gets, compiled from its table:
+
+    * ``log_strings(time, node_id, user_id, session_id, ...)`` -- the
+      lines of a batch of reports sent at ``time``, one per row of the
+      field columns, in table order; ``time`` and enum fields take one
+      value per batch, and a pair whose value is always escaped (the
+      partner events) is left off;
+    * ``to_log_string()`` -- the report's own line;
+    * ``_WIRE`` -- that line as a pattern, each value captured raw; a
+      value that is always escaped has no place in it;
+    * ``_from_wire`` -- the report built from ``_WIRE``'s groups;
+    * ``from_params`` -- the report built from any parameter dict.
+
+    Both decoders build the report without calling the frozen dataclass
+    ``__init__``, which pays one ``object.__setattr__`` per field: it
+    comes from ``object.__new__`` and gets its fields in one
+    ``__dict__.update``, in field order.
     """
     def decorate(cls):
-        cls._WIRE = _wire_pattern(cls.TYPE, *(key for key, _ in keys),
-                                  optional=optional)
-        cls._from_wire = staticmethod(_wire_decoder(cls, keys, optional))
+        if not hasattr(cls, "TYPE"):
+            cls._WIRE_HEADER = entries
+            return cls
+        _compile(cls, cls._WIRE_HEADER + entries, optional, required)
         return cls
     return decorate
 
 
+@_wire_form(("t", "time", ".3f"), ("node", "node_id", ""),
+            ("user", "user_id", ""), ("sess", "session_id", ""))
 @dataclass(frozen=True)
 class Report:
-    """Common report header."""
+    """Common report header: its table holds the keys every report's
+    line starts with, after ``type``."""
 
     time: float
     node_id: int
     user_id: int
     session_id: int
 
-    TYPE: ClassVar[str] = "?"
-    #: the canonical wire form and its decoder (see :func:`_wire_form`)
+    TYPE: ClassVar[str]
+    _WIRE_HEADER: ClassVar[Tuple[_Entry, ...]]
+    #: compiled from each subclass's table (see :func:`_wire_form`)
+    log_strings: ClassVar[Callable[..., List[str]]]
+    to_log_string: ClassVar[Callable[[Report], str]]
+    from_params: ClassVar[Callable[[Dict[str, str]], Report]]
     _WIRE: ClassVar[Pattern[str]]
     _from_wire: ClassVar[Callable[..., Report]]
 
-    def _header(self) -> Dict[str, str]:
-        return {
-            "type": self.TYPE,
-            "t": f"{self.time:.3f}",
-            "node": str(self.node_id),
-            "user": str(self.user_id),
-            "sess": str(self.session_id),
-        }
 
-    def to_params(self) -> Dict[str, str]:
-        """Serialize to the flat ``name=value`` parameter dict."""
-        raise NotImplementedError
-
-    def to_log_string(self) -> str:
-        """Encode straight to the wire log string.
-
-        Always equals ``encode_log_string(self.to_params())``; each
-        subclass renders its fields with the one f-string of its
-        ``log_strings`` -- reports are emitted millions of times at paper
-        scale, and skipping the dict round-trip is a measurable win on
-        the simulation hot path.
-        """
-        return encode_log_string(self.to_params())
-
-    @classmethod
-    def _header_strs(cls, time: float, nodes: Sequence[int],
-                     users: Sequence[int],
-                     sessions: Sequence[int]) -> List[str]:
-        """The wire header of each report of a batch sent at ``time``;
-        the prefix up to the node id is formatted once."""
-        # the f-string twin of _header() -- keep the two in sync
-        head = f"{LOG_PATH}?type={cls.TYPE}&t={time:.3f}&node="
-        return [f"{head}{node}&user={user}&sess={session}"
-                for node, user, session in zip(nodes, users, sessions)]
-
-
-@_wire_form(("ev", "event"), ("try", "attempt"), ("pub", "address_public"),
-            ("why", "reason"), optional=("why",))
+@_wire_form(("ev", "event", ""), ("try", "attempt", ""),
+            ("pub", "address_public", ""), ("why", "reason", ""),
+            optional=("why",), required=("ev",))
 @dataclass(frozen=True)
 class ActivityReport(Report):
     """Immediate join / start-subscription / player-ready / leave report."""
@@ -230,55 +346,10 @@ class ActivityReport(Report):
 
     TYPE: ClassVar[str] = "act"
 
-    def to_params(self) -> Dict[str, str]:
-        """Serialize to the flat ``name=value`` parameter dict."""
-        params = self._header()
-        params["ev"] = self.event.value
-        params["try"] = str(self.attempt)
-        params["pub"] = "1" if self.address_public else "0"
-        if self.reason is not None:
-            params["why"] = self.reason.value
-        return params
 
-    @classmethod
-    def log_strings(cls, time: float, nodes: Sequence[int],
-                    users: Sequence[int], sessions: Sequence[int],
-                    event: ActivityEvent, attempts: Sequence[int],
-                    publics: Sequence[bool],
-                    reason: Optional[LeaveReason] = None) -> List[str]:
-        """The wire log strings of one ``event`` (and leave ``reason``)
-        reported by a batch of peers at ``time``, one per row of the
-        field columns: row ``i`` is ``encode_log_string(to_params())`` of
-        the report built from the columns' ``i``-th values."""
-        ev = event.value
-        why = "" if reason is None else f"&why={reason.value}"
-        return [f"{header}&ev={ev}&try={attempt}&pub={'1' if public else '0'}"
-                f"{why}"
-                for header, attempt, public in zip(
-                    cls._header_strs(time, nodes, users, sessions),
-                    attempts, publics)]
-
-    def to_log_string(self) -> str:
-        """Direct wire encoding (== ``encode_log_string(to_params())``)."""
-        return self.log_strings(
-            self.time, (self.node_id,), (self.user_id,), (self.session_id,),
-            self.event, (self.attempt,), (self.address_public,),
-            self.reason)[0]
-
-    @classmethod
-    def from_params(cls, p: Dict[str, str]) -> "ActivityReport":
-        """Parse back from a decoded parameter dict."""
-        return cls(
-            time=float(p["t"]), node_id=int(p["node"]), user_id=int(p["user"]),
-            session_id=int(p["sess"]), event=ActivityEvent(p["ev"]),
-            attempt=int(p.get("try", "1")),
-            address_public=p.get("pub", "1") == "1",
-            reason=LeaveReason(p["why"]) if "why" in p else None,
-        )
-
-
-@_wire_form(("ci", "continuity"), ("buf", "buffered_seconds"),
-            ("par", "n_parents"), ("play", "playing"), optional=("ci",))
+@_wire_form(("ci", "continuity", ".5f"), ("buf", "buffered_seconds", ".2f"),
+            ("par", "n_parents", ""), ("play", "playing", ""),
+            optional=("ci",))
 @dataclass(frozen=True)
 class QoSReport(Report):
     """Perceived quality over the last report window.
@@ -295,55 +366,10 @@ class QoSReport(Report):
 
     TYPE: ClassVar[str] = "qos"
 
-    def to_params(self) -> Dict[str, str]:
-        """Serialize to the flat ``name=value`` parameter dict."""
-        params = self._header()
-        if self.continuity is not None:
-            params["ci"] = f"{self.continuity:.5f}"
-        params["buf"] = f"{self.buffered_seconds:.2f}"
-        params["par"] = str(self.n_parents)
-        params["play"] = "1" if self.playing else "0"
-        return params
 
-    @classmethod
-    def log_strings(cls, time: float, nodes: Sequence[int],
-                    users: Sequence[int], sessions: Sequence[int],
-                    continuity: Sequence[Optional[float]],
-                    buffered_seconds: Sequence[float],
-                    n_parents: Sequence[int],
-                    playing: Sequence[bool]) -> List[str]:
-        """The wire log strings of a batch of reports sent at ``time``, one
-        per row of the field columns: row ``i`` is
-        ``encode_log_string(to_params())`` of the report built from the
-        columns' ``i``-th values."""
-        return [f"{header}{'' if ci is None else f'&ci={ci:.5f}'}"
-                f"&buf={buf:.2f}&par={par}&play={'1' if play else '0'}"
-                for header, ci, buf, par, play in zip(
-                    cls._header_strs(time, nodes, users, sessions),
-                    continuity, buffered_seconds, n_parents, playing)]
-
-    def to_log_string(self) -> str:
-        """Direct wire encoding (== ``encode_log_string(to_params())``)."""
-        return self.log_strings(
-            self.time, (self.node_id,), (self.user_id,), (self.session_id,),
-            (self.continuity,), (self.buffered_seconds,), (self.n_parents,),
-            (self.playing,))[0]
-
-    @classmethod
-    def from_params(cls, p: Dict[str, str]) -> "QoSReport":
-        """Parse back from a decoded parameter dict."""
-        return cls(
-            time=float(p["t"]), node_id=int(p["node"]), user_id=int(p["user"]),
-            session_id=int(p["sess"]),
-            continuity=float(p["ci"]) if "ci" in p else None,
-            buffered_seconds=float(p.get("buf", "0")),
-            n_parents=int(p.get("par", "0")),
-            playing=p.get("play", "0") == "1",
-        )
-
-
-@_wire_form(("up", "bytes_up"), ("down", "bytes_down"), ("tup", "total_up"),
-            ("tdown", "total_down"))
+@_wire_form(("up", "bytes_up", ".0f"), ("down", "bytes_down", ".0f"),
+            ("tup", "total_up", ".0f"), ("tdown", "total_down", ".0f"),
+            required=("up", "down"))
 @dataclass(frozen=True)
 class TrafficReport(Report):
     """Bytes moved since the previous traffic report (plus totals)."""
@@ -354,48 +380,6 @@ class TrafficReport(Report):
     total_down: float = 0.0
 
     TYPE: ClassVar[str] = "traf"
-
-    def to_params(self) -> Dict[str, str]:
-        """Serialize to the flat ``name=value`` parameter dict."""
-        params = self._header()
-        params["up"] = f"{self.bytes_up:.0f}"
-        params["down"] = f"{self.bytes_down:.0f}"
-        params["tup"] = f"{self.total_up:.0f}"
-        params["tdown"] = f"{self.total_down:.0f}"
-        return params
-
-    @classmethod
-    def log_strings(cls, time: float, nodes: Sequence[int],
-                    users: Sequence[int], sessions: Sequence[int],
-                    bytes_up: Sequence[float], bytes_down: Sequence[float],
-                    total_up: Sequence[float],
-                    total_down: Sequence[float]) -> List[str]:
-        """The wire log strings of a batch of reports sent at ``time``, one
-        per row of the field columns: row ``i`` is
-        ``encode_log_string(to_params())`` of the report built from the
-        columns' ``i``-th values."""
-        return [f"{header}&up={up:.0f}&down={down:.0f}&tup={tup:.0f}"
-                f"&tdown={tdown:.0f}"
-                for header, up, down, tup, tdown in zip(
-                    cls._header_strs(time, nodes, users, sessions),
-                    bytes_up, bytes_down, total_up, total_down)]
-
-    def to_log_string(self) -> str:
-        """Direct wire encoding (== ``encode_log_string(to_params())``)."""
-        return self.log_strings(
-            self.time, (self.node_id,), (self.user_id,), (self.session_id,),
-            (self.bytes_up,), (self.bytes_down,), (self.total_up,),
-            (self.total_down,))[0]
-
-    @classmethod
-    def from_params(cls, p: Dict[str, str]) -> "TrafficReport":
-        """Parse back from a decoded parameter dict."""
-        return cls(
-            time=float(p["t"]), node_id=int(p["node"]), user_id=int(p["user"]),
-            session_id=int(p["sess"]),
-            bytes_up=float(p["up"]), bytes_down=float(p["down"]),
-            total_up=float(p.get("tup", "0")), total_down=float(p.get("tdown", "0")),
-        )
 
 
 class PartnerOp(str, enum.Enum):
@@ -423,21 +407,25 @@ class PartnerEvent:
     def decode(cls, token: str) -> "PartnerEvent":
         """Parse a compact wire token."""
         t, op, pid, d = token.split(":")
+        if d not in ("i", "o"):
+            raise ValueError(f"not a partner direction: {d!r}")
         return cls(time=float(t), op=PartnerOp(op), partner_id=int(pid),
                    incoming=(d == "i"))
 
 
-# no ``pev``: its ``:``/``|`` separators are always percent-encoded, so a
-# report that carries events is never in the escape-free form
-@_wire_form(("np", "n_partners"), ("nin", "n_incoming"),
-            ("nout", "n_outgoing"))
+@_wire_form(("np", "n_partners", ""), ("nin", "n_incoming", ""),
+            ("nout", "n_outgoing", ""), ("pev", "events", ""),
+            optional=("pev",))
 @dataclass(frozen=True)
 class PartnerReport(Report):
     """Compact series of partner activities since the last status report.
 
     "Since the nodes might change partners frequently, we use a compact
     report that records a series of activities to reduce log server's
-    load." (Section V.A)
+    load." (Section V.A)  The events go on the wire as one ``pev`` value,
+    :meth:`PartnerEvent.encode` tokens joined by ``|``; its ``:``/``|``
+    separators are always percent-encoded, so a report that carries
+    events is never in the canonical form.
     """
 
     events: tuple[PartnerEvent, ...] = field(default_factory=tuple)
@@ -446,56 +434,6 @@ class PartnerReport(Report):
     n_outgoing: int = 0
 
     TYPE: ClassVar[str] = "part"
-
-    def to_params(self) -> Dict[str, str]:
-        """Serialize to the flat ``name=value`` parameter dict."""
-        params = self._header()
-        params["np"] = str(self.n_partners)
-        params["nin"] = str(self.n_incoming)
-        params["nout"] = str(self.n_outgoing)
-        if self.events:
-            params["pev"] = "|".join(e.encode() for e in self.events)
-        return params
-
-    @classmethod
-    def log_strings(cls, time: float, nodes: Sequence[int],
-                    users: Sequence[int], sessions: Sequence[int],
-                    n_partners: Sequence[int], n_incoming: Sequence[int],
-                    n_outgoing: Sequence[int]) -> List[str]:
-        """The wire log strings of a batch of event-free reports sent at
-        ``time``, one per row of the field columns: row ``i`` is
-        ``encode_log_string(to_params())`` of the report built from the
-        columns' ``i``-th values."""
-        return [f"{header}&np={np_}&nin={nin}&nout={nout}"
-                for header, np_, nin, nout in zip(
-                    cls._header_strs(time, nodes, users, sessions),
-                    n_partners, n_incoming, n_outgoing)]
-
-    def to_log_string(self) -> str:
-        """Direct wire encoding (== ``encode_log_string(to_params())``)."""
-        s = self.log_strings(
-            self.time, (self.node_id,), (self.user_id,), (self.session_id,),
-            (self.n_partners,), (self.n_incoming,), (self.n_outgoing,))[0]
-        if self.events:
-            # the event tokens carry ":" / "|" separators, which the
-            # codec percent-encodes -- mirror it exactly
-            pev = quote("|".join(e.encode() for e in self.events), safe="")
-            s = f"{s}&pev={pev}"
-        return s
-
-    @classmethod
-    def from_params(cls, p: Dict[str, str]) -> "PartnerReport":
-        """Parse back from a decoded parameter dict."""
-        events: tuple[PartnerEvent, ...] = ()
-        if "pev" in p and p["pev"]:
-            events = tuple(PartnerEvent.decode(tok) for tok in p["pev"].split("|"))
-        return cls(
-            time=float(p["t"]), node_id=int(p["node"]), user_id=int(p["user"]),
-            session_id=int(p["sess"]), events=events,
-            n_partners=int(p.get("np", "0")),
-            n_incoming=int(p.get("nin", "0")),
-            n_outgoing=int(p.get("nout", "0")),
-        )
 
 
 _REGISTRY: Dict[str, Type[Report]] = {
@@ -513,7 +451,7 @@ def parse_report(params: Dict[str, str]) -> Report:
     except KeyError:
         raise ValueError(f"unknown report type {params.get('type')!r}") from None
     try:
-        return cls.from_params(params)  # type: ignore[attr-defined]
+        return cls.from_params(params)
     except KeyError as exc:
         raise ValueError(f"{cls.TYPE!r} report lacks field {exc}") from None
 
@@ -526,15 +464,15 @@ def decode_report(log_string: str) -> Report:
     the general path and the oracle the tests hold this function to.  A
     string in the canonical form ``to_log_string`` emits (the class's
     keys once each, in order, no escapes) skips the parameter dict: its
-    captured values go through the same ``float``/``int``/enum
-    conversions ``from_params`` applies.  Anything else -- reordered,
-    repeated, missing or extra keys, ``%``/``+`` escapes, a partner
-    report's ``pev`` list, another path -- does not match and takes the
+    captured values go through the conversions ``from_params`` applies.
+    Anything else -- reordered, repeated, missing or extra keys,
+    ``%``/``+`` escapes, a partner report's ``pev`` list, a flag that is
+    neither ``0`` nor ``1``, another path -- does not match and takes the
     general path.
     """
     cls = _REGISTRY.get(log_string[_TYPE_AT:log_string.find("&")])
     if cls is not None:
-        match = cls._WIRE.fullmatch(log_string)  # type: ignore[attr-defined]
+        match = cls._WIRE.fullmatch(log_string)
         if match is not None:
-            return cls._from_wire(*match.groups())  # type: ignore[attr-defined]
+            return cls._from_wire(*match.groups())
     return parse_report(decode_log_string(log_string))

@@ -1,40 +1,25 @@
 """Fixture: SCH001 positives -- telemetry reads nothing ever emits.
 
-Self-contained producer/consumer pair: a report class whose
-``to_params`` / ``to_log_string`` twins drifted, a ``from_params``
-reading a wire key nothing writes, and a fold reading attributes the
-report never carries on the wire (or at all).
+Self-contained producer/consumer pair: a report class whose wire table
+leaves one field off the line, and a fold reading that field (which
+reads back as its default on every line) and an attribute the report
+never defines at all.
 """
 from dataclasses import dataclass
-from typing import Dict
 
 
+def _wire_form(*entries, **keys):  # the shape of the real decorator
+    return lambda cls: cls
+
+
+@_wire_form(("t", "time", ".3f"), ("cr", "chunk_rate", ".3f"),
+            ("lag", "lag", ".3f"))
 @dataclass(frozen=True)
 class ChunkReport:
     time: float
     chunk_rate: float
     lag: float
-    drops: int
-
-    def to_params(self) -> Dict[str, str]:
-        return {
-            "t": f"{self.time:.3f}",
-            "cr": f"{self.chunk_rate:.3f}",
-            "lag": f"{self.lag:.3f}",
-        }
-
-    def to_log_string(self) -> str:
-        # twin drift: "lag" is in to_params but missing here
-        return f"/log?t={self.time:.3f}&cr={self.chunk_rate:.3f}"
-
-    @classmethod
-    def from_params(cls, p: Dict[str, str]) -> "ChunkReport":
-        return cls(
-            time=float(p["t"]),
-            chunk_rate=float(p["cr"]),
-            lag=float(p.get("lag", "0")),
-            drops=int(p.get("dr", "0")),
-        )
+    drops: int = 0
 
 
 class ChunkRateFold:

@@ -12,8 +12,10 @@ import ast
 import json
 from pathlib import Path
 
-from repro.check import check_paths, check_source, harvest_file
-from repro.check.engine import RULESET_VERSION, all_rules
+import pytest
+
+from repro.check import check_paths, check_source, engine, harvest_file
+from repro.check.engine import RULESET_VERSION, Finding, Rule, all_rules
 from repro.check.project import ProjectContext, module_of
 from repro.experiments.cli import main as repro_main
 
@@ -35,40 +37,37 @@ def test_harvest_report_wire_schema():
     assert {"Report", "ActivityReport", "QoSReport", "TrafficReport",
             "PartnerReport"} <= set(classes)
 
-    # header keys come from the base class; own keys from each subclass
-    assert set(classes["Report"].param_writes) == {
-        "type", "t", "node", "user", "sess"}
-    assert set(classes["ActivityReport"].param_writes) == {
+    # header keys come from the base class's table; own keys from each
+    # subclass's, read off its _wire_form decorator
+    assert set(classes["Report"].field_keys.values()) == {
+        "t", "node", "user", "sess"}
+    assert set(classes["ActivityReport"].field_keys.values()) == {
         "ev", "try", "pub", "why"}
-    assert set(classes["QoSReport"].param_writes) == {
+    assert set(classes["QoSReport"].field_keys.values()) == {
         "ci", "buf", "par", "play"}
-    assert set(classes["TrafficReport"].param_writes) == {
+    assert set(classes["TrafficReport"].field_keys.values()) == {
         "up", "down", "tup", "tdown"}
-    assert set(classes["PartnerReport"].param_writes) == {
+    assert set(classes["PartnerReport"].field_keys.values()) == {
         "np", "nin", "nout", "pev"}
 
-    # the f-string twins carry exactly the same keys (SCH001 pins this)
-    for name in ("Report", "ActivityReport", "QoSReport",
-                 "TrafficReport", "PartnerReport"):
+    # every dataclass field is carried by its class's table or the
+    # header's
+    assert set(classes["Report"].fields) == set(classes["Report"].field_keys)
+    for name in ("ActivityReport", "QoSReport", "TrafficReport",
+                 "PartnerReport"):
         rc = classes[name]
-        assert set(rc.wire_writes) == set(rc.param_writes), name
+        assert set(rc.fields) == set(rc.field_keys), name
 
 
 def test_harvest_kwarg_to_wire_key_mapping():
     facts = _harvest(REPORTS)
     traffic = facts.report_classes["TrafficReport"]
-    assert traffic.kwarg_keys["total_up"] == ["tup"]
-    assert traffic.kwarg_keys["bytes_down"] == ["down"]
+    assert traffic.field_keys["total_up"] == "tup"
+    assert traffic.field_keys["bytes_down"] == "down"
     qos = facts.report_classes["QoSReport"]
-    assert qos.kwarg_keys["continuity"] == ["ci"]
-    # events=events is precomputed -- no extractable wire mapping
+    assert qos.field_keys["continuity"] == "ci"
     partner = facts.report_classes["PartnerReport"]
-    assert "events" not in partner.kwarg_keys
-
-
-def test_harvest_global_parse_report_reads():
-    facts = _harvest(REPORTS)
-    assert "type" in facts.global_param_reads
+    assert partner.field_keys["events"] == "pev"
 
 
 def test_harvest_fold_reads_on_real_streaming_module():
@@ -82,15 +81,13 @@ def test_harvest_fold_reads_on_real_streaming_module():
 
 
 def test_project_context_inherited_emits_cover_header():
-    facts = _harvest(REPORTS)
-    project = ProjectContext([facts])
-    # subclass emits include the inherited header fields
-    assert {"type", "t", "node", "user", "sess", "ci",
-            "tup"} <= project.class_emitted("QoSReport") | \
-        project.class_emitted("TrafficReport")
-    assert "t" in project.class_emitted("QoSReport")
-    # and the merged emitted-key table covers every consumed key
-    assert project.read_keys <= project.emitted_keys
+    project = ProjectContext([_harvest(REPORTS)])
+    # the header fields are carried by the base class's table
+    assert {"time", "node_id", "user_id", "session_id", "continuity",
+            "total_up"} <= set(project.field_keys)
+    assert project.field_keys["time"] == {"t"}
+    # and every field any report defines reaches the wire
+    assert project.report_fields == set(project.field_keys)
 
 
 def test_harvest_metric_emits_and_prefixes():
@@ -128,15 +125,12 @@ def _write_tree(tmp_path, files):
 
 PRODUCER = (
     "from dataclasses import dataclass\n"
+    "from repro.telemetry.reports import _wire_form\n"
+    "@_wire_form(('t', 'time', '.3f'), ('rtt', 'rtt', '.4f'))\n"
     "@dataclass\n"
     "class PingReport:\n"
     "    time: float\n"
     "    rtt: float\n"
-    "    def to_params(self):\n"
-    "        return {'t': f'{self.time:.3f}', 'rtt': f'{self.rtt:.4f}'}\n"
-    "    @classmethod\n"
-    "    def from_params(cls, p):\n"
-    "        return cls(time=float(p['t']), rtt=float(p['rtt']))\n"
 )
 
 
@@ -167,22 +161,34 @@ def test_sch001_clean_when_schema_matches(tmp_path):
     assert check_paths([root]).findings == []
 
 
-def test_sch002_is_warn_severity_and_does_not_gate_exit(tmp_path, capsys):
-    producer = (
-        "from dataclasses import dataclass\n"
-        "@dataclass\n"
-        "class PingReport:\n"
-        "    time: float\n"
-        "    ttl: int\n"
-        "    def to_params(self):\n"
-        "        return {'t': f'{self.time:.3f}', 'ttl': str(self.ttl)}\n"
-        "    @classmethod\n"
-        "    def from_params(cls, p):\n"
-        "        return cls(time=float(p['t']), ttl=0)\n"
-    )
-    root = _write_tree(tmp_path, {"producer.py": producer})
+class _WarnOnPass(Rule):
+    """A warn-severity rule: flags every ``pass`` statement."""
+
+    id = "TST900"
+    title = "pass statement"
+    rationale = "exercises warn severity"
+    severity = "warn"
+    interests = ("Pass",)
+
+    def on_node(self, node, ctx):
+        yield Finding(rule=self.id, message="pass statement",
+                      path=ctx.path, line=node.lineno, col=node.col_offset,
+                      severity=self.severity)
+
+
+@pytest.fixture
+def warn_rule(monkeypatch):
+    """:class:`_WarnOnPass`, registered for the one test."""
+    rule = _WarnOnPass()
+    monkeypatch.setitem(engine._REGISTRY, rule.id, rule)
+    return rule
+
+
+def test_sch002_is_warn_severity_and_does_not_gate_exit(tmp_path, capsys,
+                                                        warn_rule):
+    root = _write_tree(tmp_path, {"idle.py": "def idle():\n    pass\n"})
     report = check_paths([root])
-    assert [f.rule for f in report.findings] == ["SCH002"]
+    assert [f.rule for f in report.findings] == [warn_rule.id]
     assert report.findings[0].severity == "warn"
     assert report.exit_code == 0  # warn-only runs stay green
     assert repro_main(["check", root]) == 0
@@ -340,8 +346,15 @@ def test_sarif_document_shape(tmp_path, capsys):
         region = loc["physicalLocation"]["region"]
         assert region["startLine"] >= 1 and region["startColumn"] >= 1
 
-    sch = [r for r in driver["rules"] if r["id"] == "SCH002"]
-    assert sch[0]["defaultConfiguration"]["level"] == "warning"
+
+def test_sarif_maps_warn_to_the_warning_level(tmp_path, capsys, warn_rule):
+    root = _write_tree(tmp_path, {"idle.py": "def idle():\n    pass\n"})
+    assert repro_main(["check", root, "--output", "sarif"]) == 0
+    (run,) = json.loads(capsys.readouterr().out)["runs"]
+    (meta,) = [r for r in run["tool"]["driver"]["rules"]
+               if r["id"] == warn_rule.id]
+    assert meta["defaultConfiguration"]["level"] == "warning"
+    assert [r["level"] for r in run["results"]] == ["warning"]
 
 
 def test_sarif_clean_run_has_no_results(tmp_path, capsys):

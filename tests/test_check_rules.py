@@ -24,7 +24,7 @@ FIXTURES = Path(__file__).parent / "check_fixtures"
 VIRTUAL = "src/repro/fixture_under_check.py"
 
 RULES = ["DET001", "DET002", "DET003", "FLT001", "CFG001",
-         "ASY001", "ASY002", "ASY003", "SCH001", "SCH002", "UNIT001",
+         "ASY001", "ASY002", "ASY003", "SCH001", "UNIT001",
          "OBS001"]
 
 #: how many findings the violations fixture of each rule must produce
@@ -37,8 +37,7 @@ EXPECTED_VIOLATIONS = {
     "ASY001": 4,   # time.sleep, open, create_connection, subprocess.run
     "ASY002": 2,   # bare coroutine call, bare async-method call
     "ASY003": 2,   # loop.create_task, asyncio.ensure_future
-    "SCH001": 4,   # twin drift, unknown attr, unread wire key x2
-    "SCH002": 1,   # "hopc" emitted, never parsed back
+    "SCH001": 2,   # field no wire table carries, unknown attr
     "UNIT001": 5,  # blocks+s, s-blocks, kbps+bps, ms+=s, attr s+blocks
     "OBS001": 2,   # .get() miss + membership-probe miss
 }
@@ -172,16 +171,19 @@ def test_fixture_directory_is_skipped_by_directory_expansion():
     assert not any("check_fixtures" in str(f) for f in files)
 
 
-def test_sch001_sees_the_wire_keys_of_a_column_renderer():
-    # the keys a report puts on the wire are harvested from log_strings
-    # too: a key it drops is twin drift against to_params
-    findings = check_fixture("sch001_log_strings_drift.py")
-    assert [f.rule for f in findings] == ["SCH001"]
-    assert "'lag'" in findings[0].message
-    assert "twin drift" in findings[0].message
-    source = (FIXTURES / "sch001_log_strings_drift.py").read_text(
-        encoding="utf-8")
-    mended = source.replace('f"{head}&node={node}"',
-                            'f"{head}&node={node}&lag={lag:.3f}"')
+def test_sch001_reads_the_fields_a_wire_table_carries():
+    # the field a fold reads must reach the log through some report's
+    # _wire_form table: adding the entry mends the finding
+    findings = check_fixture("sch001_violations.py")
+    assert sorted(f.message for f in findings) == [
+        "fold ChunkRateFold reads report.drops, a field no report's wire "
+        "table carries",
+        "fold ChunkRateFold reads report.stall_count, which no report "
+        "class defines"]
+    source = (FIXTURES / "sch001_violations.py").read_text(encoding="utf-8")
+    mended = source.replace('("lag", "lag", ".3f"))',
+                            '("lag", "lag", ".3f"), ("dr", "drops", ""))')
     assert mended != source
-    assert check_source(mended, path=VIRTUAL) == []
+    assert [f.message for f in check_source(mended, path=VIRTUAL)] == [
+        "fold ChunkRateFold reads report.stall_count, which no report "
+        "class defines"]

@@ -36,6 +36,10 @@ NOT_REPORTS = (
     "/log?type=qos&t=1&node=1&user=1&sess=1&buf=zz",
     "/log?type=traf&t=1&node=1&user=1&sess=1&up=1",
     "/log?type=part&t=1&node=1&user=1&sess=1&pev=1.0%3Aa%3A7",  # short token
+    "/log?type=qos&t=1&node=1&user=1&sess=1&play=yes",          # not a flag
+    "/log?type=act&t=1&node=1&user=1&sess=1&ev=join&pub=2",
+    "/log?type=part&t=1&node=1&user=1&sess=1&np=1&nin=0&nout=1"
+    "&pev=1.0%3Aa%3A7%3Aq",                                     # direction
 )
 
 
