@@ -9,7 +9,7 @@ total) collapse while the surviving channels keep their audiences.
 
 import numpy as np
 
-from repro.analysis import SessionTable
+from repro.analysis import SessionTableFold, fold_log
 from repro.core.config import SystemConfig
 from repro.core.multichannel import MultiChannelDeployment
 from repro.telemetry.reports import LeaveReason
@@ -64,5 +64,5 @@ def test_partial_collapse_at_program_end(benchmark):
     assert after["by_channel"][0] >= 0.7 * before["by_channel"][0]
     assert after["total"] >= 0.4 * before["total"]
     # the platform log still analyses coherently
-    table = SessionTable.from_log(deployment.merged_log())
+    (table,) = fold_log(deployment.merged_log(), SessionTableFold())
     assert len(table) >= 120

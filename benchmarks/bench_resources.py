@@ -11,8 +11,12 @@ fraction, sessions per user), not in the survivors' continuity.
 
 import numpy as np
 
-from repro.analysis import SessionTable
-from repro.analysis.continuity import mean_continuity
+from repro.analysis import (
+    ContinuitySamplesFold,
+    SessionTableFold,
+    fold_log,
+    mean_continuity,
+)
 from repro.analysis.resources import supply_demand_snapshot
 from repro.core.config import SystemConfig
 from repro.core.system import CoolstreamingSystem
@@ -40,8 +44,9 @@ def run_at_capacity_scale(scale: float, seed: int = 0):
     system.run(until=120.0)
     sd_peak = supply_demand_snapshot(system)
     system.run(until=HORIZON)
-    cont = mean_continuity(system.log, after=350.0)
-    table = SessionTable.from_log(system.log)
+    table, samples = fold_log(system.log, SessionTableFold(),
+                              ContinuitySamplesFold())
+    cont = mean_continuity(samples, after=350.0)
     return {
         "offered_ratio": sd_peak.supply_bps / (N_USERS * cfg.stream_rate_bps),
         "success": population.success_fraction(),

@@ -14,8 +14,14 @@ Run:  python examples/broadcast_event.py          (about a minute)
 import sys
 
 
-from repro.analysis import Cdf, SessionTable
-from repro.analysis.continuity import continuity_timeseries, mean_continuity
+from repro.analysis import (
+    Cdf,
+    ContinuitySamplesFold,
+    SessionTableFold,
+    continuity_timeseries,
+    fold_log,
+    mean_continuity,
+)
 from repro.core.config import SystemConfig
 from repro.experiments.render import render_series
 from repro.fastsim import FastSimulation
@@ -47,11 +53,12 @@ def main() -> None:
           f"seconds...")
     sim.run(until=horizon)
 
-    table = SessionTable.from_log(sim.log)
+    table, samples = fold_log(sim.log, SessionTableFold(),
+                              ContinuitySamplesFold())
     grid, counts = table.concurrent_users(step_s=horizon / 240, t1=horizon)
     print()
     print(render_series("concurrent users", grid, counts, fmt="%.0f"))
-    centers, cont, _n = continuity_timeseries(sim.log, bin_s=300.0, t1=horizon)
+    centers, cont, _n = continuity_timeseries(samples, bin_s=300.0, t1=horizon)
     print(render_series("mean continuity", centers, cont, fmt="%.3f"))
     print()
     print(f"  peak concurrent users : {int(counts.max())}")
@@ -60,7 +67,7 @@ def main() -> None:
     print(f"  ready time            : median "
           f"{Cdf.from_samples(ready).median:.0f} s")
     print(f"  steady continuity     : "
-          f"{mean_continuity(sim.log, after=0.3 * horizon):.4f}")
+          f"{mean_continuity(samples, after=0.3 * horizon):.4f}")
     print(f"  <1 min sessions       : "
           f"{table.short_session_fraction(60.0) * 100:.0f}%")
     drop_t = 0.8 * horizon + 0.05 * horizon

@@ -12,7 +12,7 @@ age-biased mCache replacement to show the improvement.
 Run:  python examples/flash_crowd.py
 """
 
-from repro.analysis import Cdf, SessionTable
+from repro.analysis import Cdf, SessionTableFold, fold_log
 from repro.core.config import SystemConfig
 from repro.runtime import run_scenario
 from repro.workload import flash_crowd_storm
@@ -25,7 +25,7 @@ def run_once(mcache_replacement: str, seed: int = 7):
     )
     res = run_scenario(scenario, seed=seed, engine="detailed")
     system, population = res.system, res.population
-    table = SessionTable.from_log(system.log)
+    (table,) = fold_log(system.log, SessionTableFold())
     ready = table.ready_delays()
     return {
         "sessions": len(table),

@@ -13,9 +13,14 @@ import tempfile
 from pathlib import Path
 
 from repro import CoolstreamingSystem, SystemConfig
-from repro.analysis import SessionTable, classify_users
-from repro.analysis.classification import type_distribution
-from repro.analysis.continuity import mean_continuity
+from repro.analysis import (
+    ClassifyUsersFold,
+    ContinuitySamplesFold,
+    SessionTableFold,
+    fold_log,
+    mean_continuity,
+    type_distribution,
+)
 from repro.telemetry.server import LogServer
 
 
@@ -42,12 +47,15 @@ def main() -> None:
             reloaded = LogServer.load(fp)
 
     assert len(reloaded) == len(system.log)
-    table = SessionTable.from_log(reloaded)
+    table, samples, types = fold_log(
+        reloaded, SessionTableFold(), ContinuitySamplesFold(),
+        ClassifyUsersFold(),
+    )
     print(f"\nreconstructed {len(table)} sessions "
           f"({len(table.normal_sessions())} normal)")
     print(f"mean continuity (from reloaded log): "
-          f"{mean_continuity(reloaded, after=300.0):.4f}")
-    dist = type_distribution(classify_users(reloaded))
+          f"{mean_continuity(samples, after=300.0):.4f}")
+    dist = type_distribution(types)
     print("user types:",
           {k.value: f"{v * 100:.0f}%" for k, v in dist.items() if v > 0})
 

@@ -13,7 +13,7 @@ Run:  python examples/multichannel_evening.py
 
 import numpy as np
 
-from repro.analysis import SessionTable
+from repro.analysis import SessionTableFold, fold_log
 from repro.core.config import SystemConfig
 from repro.core.multichannel import MultiChannelDeployment
 from repro.experiments.render import render_series
@@ -61,7 +61,7 @@ def main() -> None:
     total = [sum(s[1]) for s in samples]
     print(render_series("platform total", ts, total, fmt="%.0f"))
 
-    table = SessionTable.from_log(deployment.merged_log())
+    (table,) = fold_log(deployment.merged_log(), SessionTableFold())
     print()
     print(f"  platform sessions : {len(table)} from {len(times)} viewers")
     print(f"  zaps              : {audience.zap_count}")

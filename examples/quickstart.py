@@ -10,8 +10,15 @@ Run:  python examples/quickstart.py
 """
 
 from repro import CoolstreamingSystem, SystemConfig
-from repro.analysis import Cdf, SessionTable, classify_users
-from repro.analysis.contribution import contributor_class_share
+from repro.analysis import (
+    Cdf,
+    ClassifyUsersFold,
+    SessionTableFold,
+    UploadTotalsFold,
+    contribution_by_type,
+    contributor_class_share,
+    fold_log,
+)
 
 def main() -> None:
     cfg = SystemConfig(n_servers=2)
@@ -29,8 +36,11 @@ def main() -> None:
     for key, value in system.summary().items():
         print(f"  {key:>18s} : {value:,.2f}")
 
-    # Everything below uses only the log server, like the paper did.
-    table = SessionTable.from_log(system.log)
+    # Everything below uses only the log server, like the paper did:
+    # one pass over the log feeds every statistic.
+    table, types, totals = fold_log(
+        system.log, SessionTableFold(), ClassifyUsersFold(), UploadTotalsFold()
+    )
     ready = table.ready_delays()
     print("\n--- from the log server ---")
     print(f"  sessions reconstructed : {len(table)}")
@@ -38,8 +48,7 @@ def main() -> None:
         cdf = Cdf.from_samples(ready)
         print(f"  media-player-ready time: median {cdf.median:.1f} s, "
               f"p90 {cdf.quantile(0.9):.1f} s")
-    types = classify_users(system.log)
-    pop, up = contributor_class_share(system.log, types)
+    pop, up = contributor_class_share(contribution_by_type(types, totals))
     print(f"  contributor-class peers: {pop * 100:.0f}% of users, "
           f"{up * 100:.0f}% of uploaded bytes")
     print("\nfirst log line:")

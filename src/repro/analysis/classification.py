@@ -11,6 +11,10 @@ sees only (a) the address-type flag from activity reports and (b) the
 incoming/outgoing partnership counters from partner reports.  A
 direct-connect peer that never happened to receive an incoming partnership
 is misclassified as firewalled, exactly as in the paper.
+
+The classifier itself runs as
+:class:`repro.analysis.streaming.ClassifyUsersFold`; this module holds
+the user types it outputs and their distribution.
 """
 
 from __future__ import annotations
@@ -19,10 +23,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.network.connectivity import ConnectivityClass
-from repro.telemetry.server import LogServer
-
-__all__ = ["UserType", "classify_users", "expected_user_type"]
+__all__ = ["UserType", "type_distribution"]
 
 
 class UserType(str, enum.Enum):
@@ -39,16 +40,6 @@ class UserType(str, enum.Enum):
         return self in (UserType.DIRECT, UserType.UPNP)
 
 
-def expected_user_type(cls: ConnectivityClass) -> UserType:
-    """Ground-truth mapping (what a perfect classifier would output)."""
-    return {
-        ConnectivityClass.DIRECT: UserType.DIRECT,
-        ConnectivityClass.UPNP: UserType.UPNP,
-        ConnectivityClass.NAT: UserType.NAT,
-        ConnectivityClass.FIREWALL: UserType.FIREWALL,
-    }[cls]
-
-
 @dataclass(slots=True)
 class _Observed:
     address_public: Optional[bool] = None
@@ -60,22 +51,6 @@ class _Observed:
         # constructor arguments that is half the bytes and a third of the
         # time of the slot-state default (25k nodes: 45 -> 14 ms to dump)
         return (_Observed, (self.address_public, self.incoming, self.outgoing))
-
-
-def classify_users(log: LogServer) -> Dict[int, UserType]:
-    """Classify every node seen in the log, per the Section V.B rules.
-
-    Returns node_id -> :class:`UserType`.  Nodes with no partner report at
-    all (very short sessions) are classified from address type alone:
-    public -> firewall, private -> NAT -- the conservative choice, since
-    no incoming partnership was ever observed.
-
-    Single streaming pass; the per-report logic lives in
-    :class:`repro.analysis.streaming.ClassifyUsersFold`.
-    """
-    from repro.analysis.streaming import ClassifyUsersFold, fold_log
-
-    return fold_log(log, ClassifyUsersFold())[0]
 
 
 def type_distribution(types: Dict[int, UserType]) -> Dict[UserType, float]:

@@ -4,7 +4,8 @@
 playback deadlines over the total number of blocks."  Each 5-minute QoS
 report carries the window continuity of one node; Fig. 8 bins those
 samples by time and user type, Fig. 9 relates run-level averages to
-system size and join rate.
+system size and join rate.  Every function here reads the samples
+:class:`~repro.analysis.streaming.ContinuitySamplesFold` collects.
 """
 
 from __future__ import annotations
@@ -15,37 +16,24 @@ import numpy as np
 
 from repro.analysis.classification import UserType
 from repro.analysis.stats import bin_timeseries
-from repro.telemetry.server import LogServer
 
 __all__ = [
-    "continuity_samples",
     "continuity_timeseries",
     "continuity_by_type",
     "mean_continuity",
 ]
 
-
-def continuity_samples(
-    log: LogServer, *, playing_only: bool = True
-) -> List[Tuple[float, int, float]]:
-    """(report_time, node_id, continuity) for every QoS report that carried
-    a continuity value.
-
-    Single streaming pass via
-    :class:`repro.analysis.streaming.ContinuitySamplesFold`.
-    """
-    from repro.analysis.streaming import ContinuitySamplesFold, fold_log
-
-    return fold_log(log, ContinuitySamplesFold(playing_only=playing_only))[0]
+#: ``(report_time, node_id, continuity)``, in log order: the result of
+#: :class:`~repro.analysis.streaming.ContinuitySamplesFold`
+Samples = List[Tuple[float, int, float]]
 
 
 def continuity_timeseries(
-    log: LogServer, *, bin_s: float = 300.0, t0: float = 0.0,
+    samples: Samples, *, bin_s: float = 300.0, t0: float = 0.0,
     t1: Optional[float] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Average continuity over all users per time bin (centers, means,
     sample counts)."""
-    samples = continuity_samples(log)
     if not samples:
         raise ValueError("log contains no continuity samples")
     times = [s[0] for s in samples]
@@ -54,33 +42,21 @@ def continuity_timeseries(
 
 
 def continuity_by_type(
-    log: LogServer,
+    types: Dict[int, UserType],
+    samples: Samples,
     *,
     bin_s: float = 300.0,
     t0: float = 0.0,
     t1: Optional[float] = None,
-    types: Optional[Dict[int, UserType]] = None,
 ) -> Dict[UserType, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Fig. 8: continuity-vs-time, one series per user type.
 
-    Types come from the Section V.B classifier unless supplied.  Note the
+    ``types`` is the Section V.B classifier's output
+    (:class:`~repro.analysis.streaming.ClassifyUsersFold`).  Note the
     paper's artefact is preserved end-to-end: NAT/firewall nodes that
     stalled and departed never delivered the QoS report covering their bad
     window, so their curve can sit *above* the direct-connect curve.
     """
-    if types is None:
-        # one streaming pass computes the classifier and the samples
-        from repro.analysis.streaming import (
-            ClassifyUsersFold,
-            ContinuitySamplesFold,
-            fold_log,
-        )
-
-        types, samples = fold_log(
-            log, ClassifyUsersFold(), ContinuitySamplesFold()
-        )
-    else:
-        samples = continuity_samples(log)
     if not samples:
         raise ValueError("log contains no continuity samples")
     out: Dict[UserType, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -97,23 +73,18 @@ def continuity_by_type(
 
 
 def mean_continuity(
-    log: LogServer, *, after: float = 0.0, types: Optional[Dict[int, UserType]] = None,
+    samples: Samples, *, after: float = 0.0,
+    types: Optional[Dict[int, UserType]] = None,
     user_type: Optional[UserType] = None,
 ) -> float:
     """Run-level average continuity (the Fig. 9 y-value), optionally for
-    one user type and excluding warm-up reports before ``after``."""
-    if user_type is not None and types is None:
-        from repro.analysis.streaming import (
-            ClassifyUsersFold,
-            ContinuitySamplesFold,
-            fold_log,
-        )
+    one user type and excluding warm-up reports before ``after``.
 
-        types, samples = fold_log(
-            log, ClassifyUsersFold(), ContinuitySamplesFold()
-        )
-    else:
-        samples = continuity_samples(log)
+    ``user_type`` selects by ``types``, the classifier's output, which must
+    then be given.
+    """
+    if user_type is not None and types is None:
+        raise ValueError("mean_continuity: user_type needs types")
     values = []
     for t, node_id, c in samples:
         if t < after:

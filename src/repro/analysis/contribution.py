@@ -2,69 +2,38 @@
 
 The paper's headline imbalance: "30% or so peer nodes in the overlay,
 i.e. nodes under UPnP and direct-connect, contribute more than 80% of the
-upload bandwidth."  We recover per-node upload totals from traffic
-reports, attribute them to the classified user types, and compute the
+upload bandwidth."  Per-node upload totals come from traffic reports
+(:class:`~repro.analysis.streaming.UploadTotalsFold`); this module
+attributes them to the classified user types and computes the
 share/Lorenz statistics.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.classification import UserType
-from repro.telemetry.server import LogServer
 
 __all__ = [
-    "upload_totals",
-    "upload_shares",
     "contribution_by_type",
+    "contributor_class_share",
     "lorenz_curve",
     "top_contributor_share",
 ]
 
 
-def upload_totals(log: LogServer) -> Dict[int, float]:
-    """Total uploaded bytes per node, from the last traffic report of each
-    node (reports carry cumulative totals, so the max is the total).
-
-    Single streaming pass via
-    :class:`repro.analysis.streaming.UploadTotalsFold`.
-    """
-    from repro.analysis.streaming import UploadTotalsFold, fold_log
-
-    return fold_log(log, UploadTotalsFold())[0]
-
-
-def upload_shares(log: LogServer) -> Dict[int, float]:
-    """Per-node fraction of all uploaded bytes."""
-    totals = upload_totals(log)
-    grand = sum(totals.values())
-    if grand <= 0:
-        return {nid: 0.0 for nid in totals}
-    return {nid: up / grand for nid, up in totals.items()}
-
-
 def contribution_by_type(
-    log: LogServer, types: Optional[Dict[int, UserType]] = None
+    types: Dict[int, UserType], totals: Dict[int, float]
 ) -> Dict[UserType, Tuple[float, float]]:
     """Per user type: (population fraction, upload-bytes fraction).
 
+    ``types`` is :class:`~repro.analysis.streaming.ClassifyUsersFold`'s
+    result and ``totals`` :class:`~repro.analysis.streaming.UploadTotalsFold`'s.
     This is exactly Fig. 3's pairing: compare the ~30% contributor-class
     population share against its >80% byte share.
     """
-    if types is None:
-        # one streaming pass computes both inputs
-        from repro.analysis.streaming import (
-            ClassifyUsersFold,
-            UploadTotalsFold,
-            fold_log,
-        )
-
-        types, totals = fold_log(log, ClassifyUsersFold(), UploadTotalsFold())
-    else:
-        totals = upload_totals(log)
     # population over all classified nodes; bytes over reported traffic
     n = len(types)
     grand = sum(totals.values())
@@ -81,11 +50,11 @@ def contribution_by_type(
 
 
 def contributor_class_share(
-    log: LogServer, types: Optional[Dict[int, UserType]] = None
+    per_type: Dict[UserType, Tuple[float, float]]
 ) -> Tuple[float, float]:
-    """(population fraction, upload fraction) of direct+UPnP peers --
-    the paper's "30% contribute more than 80%" statistic."""
-    per_type = contribution_by_type(log, types)
+    """(population fraction, upload fraction) of direct+UPnP peers, from
+    :func:`contribution_by_type`'s output -- the paper's "30% contribute
+    more than 80%" statistic."""
     pop = sum(per_type[t][0] for t in UserType if t.is_contributor)
     byt = sum(per_type[t][1] for t in UserType if t.is_contributor)
     return pop, byt

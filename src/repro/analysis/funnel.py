@@ -12,12 +12,11 @@ for when tuning the mCache policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.analysis.sessions import SessionTable
-from repro.telemetry.server import LogServer
 
-__all__ = ["JoinFunnel", "join_funnel", "funnel_of_table", "funnel_by_attempt"]
+__all__ = ["JoinFunnel", "funnel_of_table"]
 
 
 @dataclass(frozen=True)
@@ -64,9 +63,8 @@ class JoinFunnel:
 
 
 def funnel_of_table(table: SessionTable) -> JoinFunnel:
-    """Count the funnel stages of an already-reconstructed table (shared
-    by :func:`join_funnel` and the streaming
-    :class:`~repro.analysis.streaming.JoinFunnelFold`)."""
+    """Count the funnel stages of an already-reconstructed table (what
+    :class:`~repro.analysis.streaming.JoinFunnelFold` returns)."""
     joined = subscribed = ready = completed = 0
     for sess in table:
         if sess.join_time is None:
@@ -80,37 +78,3 @@ def funnel_of_table(table: SessionTable) -> JoinFunnel:
                     completed += 1
     return JoinFunnel(joined=joined, subscribed=subscribed, ready=ready,
                       completed=completed)
-
-
-def join_funnel(log: LogServer,
-                table: Optional[SessionTable] = None) -> JoinFunnel:
-    """Build the funnel over every session in the log."""
-    if table is None:
-        table = SessionTable.from_log(log)
-    return funnel_of_table(table)
-
-
-def funnel_by_attempt(log: LogServer) -> Dict[int, JoinFunnel]:
-    """One funnel per join-attempt number.
-
-    Retry attempts face a *warmer* overlay (the user's earlier failures
-    seeded nothing, but time passed), so later attempts usually convert
-    better -- the mechanism behind Fig. 10b's "1 or 2 retries suffice".
-    """
-    table = SessionTable.from_log(log)
-    buckets: Dict[int, List] = {}
-    for sess in table:
-        if sess.join_time is not None:
-            buckets.setdefault(sess.attempt, []).append(sess)
-    out: Dict[int, JoinFunnel] = {}
-    for attempt, sessions in sorted(buckets.items()):
-        joined = len(sessions)
-        subscribed = sum(1 for s in sessions if s.subscription_time is not None)
-        ready = sum(1 for s in sessions if s.ready_time is not None)
-        completed = sum(
-            1 for s in sessions
-            if s.ready_time is not None and s.leave_time is not None
-        )
-        out[attempt] = JoinFunnel(joined=joined, subscribed=subscribed,
-                                  ready=ready, completed=completed)
-    return out

@@ -2,7 +2,7 @@
 
 Section VI lists as open work: "it is important to analyze the resource
 distribution and bottleneck in the system".  This module does that
-analysis on our logs plus simulator capacity ground truth:
+analysis on simulator capacity ground truth:
 
 * system-wide supply/demand ratio over time (the [23] critical-ratio
   quantity: aggregate usable upload vs aggregate stream demand);
@@ -14,14 +14,9 @@ analysis on our logs plus simulator capacity ground truth:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
-import numpy as np
-
-from repro.analysis.stats import bin_timeseries
 from repro.network.connectivity import ConnectivityClass
-from repro.telemetry.reports import TrafficReport
-from repro.telemetry.server import LogServer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import CoolstreamingSystem
@@ -30,7 +25,6 @@ __all__ = [
     "SupplyDemand",
     "supply_demand_snapshot",
     "utilization_by_class",
-    "upload_rate_timeseries",
 ]
 
 
@@ -114,28 +108,3 @@ def utilization_by_class(
         cls: (bits, bits / grand if grand > 0 else 0.0)
         for cls, bits in totals.items()
     }
-
-
-def upload_rate_timeseries(
-    log: LogServer, *, bin_s: float = 300.0, t1: Optional[float] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """System-wide upload throughput (bytes/s) per time bin, from traffic
-    reports -- the log-only view of resource usage."""
-    times = []
-    rates = []
-    for report in log.reports_of(TrafficReport):
-        assert isinstance(report, TrafficReport)
-        times.append(report.time)
-        rates.append(report.bytes_up)
-    if not times:
-        raise ValueError("log contains no traffic reports")
-    if t1 is None:
-        t1 = max(times) + bin_s
-    centers, _means, _counts = bin_timeseries(
-        times, rates, bin_s=bin_s, t1=t1
-    )
-    sums = np.zeros_like(centers)
-    idx = np.floor(np.asarray(times) / bin_s).astype(int)
-    mask = (idx >= 0) & (idx < sums.size)
-    np.add.at(sums, idx[mask], np.asarray(rates)[mask])
-    return centers, sums / bin_s

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.telemetry.reports import LeaveReason
-from repro.telemetry.server import LogServer
 
 __all__ = ["Session", "SessionTable"]
 
@@ -86,19 +85,14 @@ class Session:
 
 
 class SessionTable:
-    """All sessions of a log, with the paper's aggregate views."""
+    """All sessions of a log, with the paper's aggregate views.
+
+    Built by :class:`repro.analysis.streaming.SessionTableFold`:
+    ``(table,) = fold_log(log, SessionTableFold())``.
+    """
 
     def __init__(self, sessions: Dict[int, Session]) -> None:
         self._sessions = sessions
-
-    @classmethod
-    def from_log(cls, log: LogServer) -> "SessionTable":
-        """Reconstruct from a log's activity reports (single streaming
-        pass; the per-report logic lives in
-        :class:`repro.analysis.streaming.SessionTableFold`)."""
-        from repro.analysis.streaming import SessionTableFold, fold_log
-
-        return fold_log(log, SessionTableFold())[0]
 
     # --- access -----------------------------------------------------------
     def __len__(self) -> int:

@@ -1,20 +1,15 @@
 """Single-pass streaming analysis: incremental folds over a report stream.
 
-Every figure reconstruction in :mod:`repro.analysis` used to iterate the
-whole log once *per statistic*; at production volume (the ROADMAP
-north star) that re-parses millions of log strings over and over, and
-requires the log to fit in RAM in the first place.  This module factors
-the per-report logic of each reconstruction into a :class:`Fold` --
+This module is the one reader of a log in :mod:`repro.analysis`.  The
+per-report logic of each figure reconstruction is a :class:`Fold` --
 ``update(report)`` consumes one parsed report, ``result()`` finalises --
 and :func:`fold_log` drives any number of folds down a single pass over
 any report source (a :class:`~repro.telemetry.server.LogServer`, a
 spilled :class:`~repro.telemetry.sink.LogReader`, or a plain iterable).
-
-The whole-trace functions (``SessionTable.from_log``, ``classify_users``,
-``upload_totals``, ``continuity_samples``, ``partner_events``,
-``join_funnel``) are now thin wrappers over these folds, so every
-caller's output is bit-identical by construction: the folds run the very
-same per-report statements in the very same encounter order.
+A caller makes one ``fold_log`` call with every fold it needs and hands
+the results to the pure functions of the other analysis modules, so N
+statistics over a production-volume log cost one read, and the log
+never has to fit in RAM.
 
 A log with enough lines, in memory or spilled, is folded on every
 available CPU: as contiguous line ranges, one per forked worker, merged
@@ -330,11 +325,8 @@ _LEAVE = ActivityEvent.LEAVE
 
 
 class SessionTableFold(Fold):
-    """Session reconstruction (Section V.C) as a fold.
-
-    Per-report logic identical to the historical
-    ``SessionTable.from_log`` loop, which now wraps this fold.
-    """
+    """Session reconstruction (Section V.C) as a fold: the
+    :class:`~repro.analysis.sessions.SessionTable` of a report stream."""
 
     consumes = (ActivityReport,)
 
@@ -393,7 +385,13 @@ class SessionTableFold(Fold):
 
 
 class ClassifyUsersFold(Fold):
-    """The Section V.B user-type classifier as a fold."""
+    """The Section V.B user-type classifier as a fold.
+
+    Nodes with no partner report at all (very short sessions) are
+    classified from address type alone: public -> firewall, private ->
+    NAT -- the conservative choice, since no incoming partnership was
+    ever observed.
+    """
 
     consumes = (ActivityReport, PartnerReport)
 

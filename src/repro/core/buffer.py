@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.core.blocks import StreamGeometry
 
-__all__ = ["SyncBuffer", "CacheBuffer", "BufferMap", "combined_prefix_end"]
+__all__ = ["SyncBuffer", "CacheBuffer", "BufferMap"]
 
 
 class SyncBuffer:
@@ -246,18 +246,3 @@ class BufferMap:
 _set_heads = BufferMap.heads.__set__
 _set_subscriptions = BufferMap.subscriptions.__set__
 _set_max_head = BufferMap.max_head.__set__
-
-
-def combined_prefix_end(counts: Sequence[int], k: int) -> int:
-    """First missing *global* sequence number given per-sub-stream contiguous
-    block counts (the combination process of Fig. 2b).
-
-    Sub-stream ``i`` with ``counts[i]`` contiguous blocks first misses global
-    sequence ``i + k * counts[i]``; the combined stream ends at the minimum
-    over sub-streams.
-    """
-    if len(counts) != k:
-        raise ValueError("need one count per sub-stream")
-    if any(c < 0 for c in counts):
-        raise ValueError("counts must be non-negative")
-    return min(i + k * c for i, c in enumerate(counts))

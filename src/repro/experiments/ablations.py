@@ -19,8 +19,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.analysis import Cdf, SessionTable
-from repro.analysis.continuity import mean_continuity
+from repro.analysis import (
+    Cdf,
+    ContinuitySamplesFold,
+    SessionTableFold,
+    fold_log,
+    mean_continuity,
+)
 from repro.core.config import SystemConfig
 from repro.experiments.render import FigureResult, render_table
 from repro.runtime import run_scenario
@@ -62,12 +67,13 @@ def run_variant(
         )
     res = run_scenario(scenario, seed=seed, engine=engine)
     engine_metrics = res.metrics()
-    table = SessionTable.from_log(res.log)
+    table, samples = fold_log(res.log, SessionTableFold(),
+                              ContinuitySamplesFold())
     ready = table.ready_delays()
     out: Dict[str, float] = {
         "sessions": float(len(table)),
         "success_fraction": engine_metrics["success_fraction"],
-        "continuity": mean_continuity(res.log, after=0.3 * horizon_s),
+        "continuity": mean_continuity(samples, after=0.3 * horizon_s),
         "adaptations": engine_metrics["adaptations"],
     }
     if ready:

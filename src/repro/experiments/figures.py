@@ -1,9 +1,11 @@
 """Per-figure regeneration functions.
 
 Each function runs a scenario sized to finish in tens of seconds on a
-laptop (pass ``scale``/duration arguments to go bigger), analyses the
-resulting log with :mod:`repro.analysis` exactly as Section V does, and
-returns a :class:`~repro.experiments.render.FigureResult`.
+laptop (pass ``scale``/duration arguments to go bigger), reads the
+resulting log once -- one :func:`~repro.analysis.fold_log` pass with every
+fold the figure needs -- analyses the fold results with
+:mod:`repro.analysis` exactly as Section V does, and returns a
+:class:`~repro.experiments.render.FigureResult`.
 
 Every figure routes through :func:`repro.runtime.run_scenario`, so the
 ``engine`` keyword switches any of them between the event-driven
@@ -24,19 +26,21 @@ import numpy as np
 
 from repro.analysis import (
     Cdf,
-    SessionTable,
-    classify_users,
+    ClassifyUsersFold,
+    ContinuitySamplesFold,
+    SessionTableFold,
+    UploadTotalsFold,
     continuity_by_type,
+    fold_log,
+    mean_continuity,
     snapshot_overlay,
 )
-from repro.analysis.classification import UserType, type_distribution
-from repro.analysis.continuity import mean_continuity
+from repro.analysis.classification import UserType
 from repro.analysis.contribution import (
     contribution_by_type,
     contributor_class_share,
     lorenz_curve,
     top_contributor_share,
-    upload_totals,
 )
 from repro.core.config import SystemConfig
 from repro.experiments.render import FigureResult, render_series, render_table
@@ -94,10 +98,9 @@ def fig3_user_types_and_contribution(
     """
     scenario = steady_audience(rate_per_s=rate_per_s, horizon_s=horizon_s)
     log = run_scenario(scenario, seed=seed, engine=engine).log
-    types = classify_users(log)
-    dist = type_distribution(types)
-    per_type = contribution_by_type(log, types)
-    pop_frac, up_frac = contributor_class_share(log, types)
+    types, totals = fold_log(log, ClassifyUsersFold(), UploadTotalsFold())
+    per_type = contribution_by_type(types, totals)
+    pop_frac, up_frac = contributor_class_share(per_type)
 
     result = FigureResult(
         "Fig. 3", "User type distribution and upload contribution"
@@ -109,7 +112,7 @@ def fig3_user_types_and_contribution(
             for t in UserType
         ],
     ))
-    uploads = list(upload_totals(log).values())
+    uploads = list(totals.values())
     x, y = lorenz_curve(uploads)
     result.add_block(render_series("Lorenz (upload bytes)", x, y, fmt="%.2f"))
     result.metrics["contributor_population_share"] = pop_frac
@@ -195,7 +198,7 @@ def fig5_user_evolution(
     res = run_scenario(scenario, seed=seed, engine=engine,
                        capacity_hint=8192)
 
-    table = SessionTable.from_log(res.log)
+    (table,) = fold_log(res.log, SessionTableFold())
     grid, counts = table.concurrent_users(step_s=day_seconds / 288, t1=day_seconds)
     evening0 = 18.0 / 24.0 * day_seconds
     mask = grid >= evening0
@@ -204,12 +207,16 @@ def fig5_user_evolution(
     result.add_block(render_series("5a: whole day", grid, counts, fmt="%.0f"))
     result.add_block(render_series("5b: evening", grid[mask], counts[mask], fmt="%.0f"))
     peak_idx = int(np.argmax(counts))
+    peak = float(counts[peak_idx])
     after_end = counts[np.searchsorted(grid, min(program_end + 0.02 * day_seconds,
                                                  grid[-1]))]
-    result.metrics["peak_concurrent"] = float(counts[peak_idx])
-    result.metrics["peak_time_frac_of_day"] = float(grid[peak_idx] / day_seconds)
-    result.metrics["drop_after_program_end"] = float(
-        1.0 - after_end / max(1.0, counts[peak_idx])
+    result.metrics["peak_concurrent"] = peak
+    # with nobody ever concurrent there is no peak to time or drop from
+    result.metrics["peak_time_frac_of_day"] = (
+        float(grid[peak_idx] / day_seconds) if peak > 0 else float("nan")
+    )
+    result.metrics["drop_after_program_end"] = (
+        float(1.0 - after_end / peak) if peak > 0 else float("nan")
     )
     result.metrics["arrived_users"] = float(res.workload.n_users)
     result.note("paper: ramp to ~40,000 peak; sharp drop at ~22:00 program end")
@@ -233,7 +240,7 @@ def fig6_join_time_cdfs(
         burst_users_per_s=burst_users_per_s, horizon_s=horizon_s, n_servers=3
     )
     res = run_scenario(scenario, seed=seed, engine=engine)
-    table = SessionTable.from_log(res.log)
+    (table,) = fold_log(res.log, SessionTableFold())
     subs = table.subscription_delays()
     ready = table.ready_delays()
     diff = table.buffering_delays()
@@ -284,7 +291,7 @@ def fig7_ready_time_by_period(
     res = run_scenario(scenario, seed=seed, engine=engine,
                        capacity_hint=8192)
 
-    table = SessionTable.from_log(res.log)
+    (table,) = fold_log(res.log, SessionTableFold())
     h = day_seconds / 24.0
     periods = {
         "(i) 01:00-13:29": (1.0 * h, 13.49 * h),
@@ -338,8 +345,8 @@ def fig8_continuity_by_type(
     scenario = steady_audience(rate_per_s=rate_per_s, horizon_s=horizon_s,
                                n_servers=3)
     log = run_scenario(scenario, seed=seed, engine=engine).log
-    types = classify_users(log)
-    series = continuity_by_type(log, bin_s=300.0, types=types, t1=horizon_s)
+    types, samples = fold_log(log, ClassifyUsersFold(), ContinuitySamplesFold())
+    series = continuity_by_type(types, samples, bin_s=300.0, t1=horizon_s)
 
     result = FigureResult("Fig. 8", "Continuity index vs time by user type")
     means: Dict[str, float] = {}
@@ -356,7 +363,7 @@ def fig8_continuity_by_type(
     ))
     for k, v in means.items():
         result.metrics[f"mean_continuity_{k}"] = v
-    overall = mean_continuity(log, after=300.0)
+    overall = mean_continuity(samples, after=300.0)
     result.metrics["mean_continuity_overall"] = overall
     if "direct" in means and "nat" in means:
         result.metrics["nat_minus_direct"] = means["nat"] - means["direct"]
@@ -383,7 +390,8 @@ def fig9_size_point(
     scenario = uniform_ramp(n_users=n_users, horizon_s=horizon_s,
                             n_servers=n_servers)
     res = run_scenario(scenario, seed=seed, engine=engine)
-    cont = mean_continuity(res.log, after=0.4 * horizon_s)
+    (samples,) = fold_log(res.log, ContinuitySamplesFold())
+    cont = mean_continuity(samples, after=0.4 * horizon_s)
     result = FigureResult("Fig. 9a point", f"continuity at N={n_users}")
     result.metrics["continuity"] = cont
     result.metrics["n_users"] = float(n_users)
@@ -400,7 +408,8 @@ def fig9_rate_point(
     scenario = uniform_ramp(n_users=n_users, horizon_s=horizon_s,
                             n_servers=n_servers)
     res = run_scenario(scenario, seed=seed, engine=engine)
-    cont = mean_continuity(res.log, after=0.4 * horizon_s)
+    (samples,) = fold_log(res.log, ContinuitySamplesFold())
+    cont = mean_continuity(samples, after=0.4 * horizon_s)
     result = FigureResult("Fig. 9b point", f"continuity at {rate:g}/s")
     result.metrics["continuity"] = cont
     result.metrics["rate"] = float(rate)
@@ -527,7 +536,7 @@ def fig10_sessions_and_retries(
     res = run_scenario(scenario, seed=seed, engine=engine,
                        capacity_hint=8192)
 
-    table = SessionTable.from_log(res.log)
+    (table,) = fold_log(res.log, SessionTableFold())
     durs = table.durations()
     cdf = Cdf.from_samples(durs)
     result = FigureResult("Fig. 10", "Session durations and re-try sessions")

@@ -40,7 +40,7 @@ from typing import (
 
 import numpy as np
 
-from repro.analysis.sessions import SessionTable
+from repro.analysis.streaming import SessionTableFold, fold_log
 from repro.core.node import NodeState
 from repro.core.system import CoolstreamingSystem
 from repro.telemetry.server import LogServer
@@ -263,7 +263,7 @@ class FluidBackend:
     def _success_fraction_from_log(self) -> float:
         """Fraction of arrived users with any session reaching playback
         (log-derived; the fluid engine keeps no per-user ground truth)."""
-        table = SessionTable.from_log(self.sim.log)
+        (table,) = fold_log(self.sim.log, SessionTableFold())
         by_user = table.sessions_per_user()
         if not by_user:
             return float("nan")

@@ -48,7 +48,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.continuity import mean_continuity
-from repro.analysis.sessions import SessionTable
+from repro.analysis.streaming import (
+    ContinuitySamplesFold,
+    SessionTableFold,
+    fold_log,
+)
 from repro.runtime.driver import RuntimeResult, run_scenario
 from repro.telemetry.server import LogServer
 
@@ -126,9 +130,9 @@ def paper_metrics(log: LogServer, horizon_s: float) -> Dict[str, float]:
 
     Continuity excludes the first 20% of the horizon as warm-up (reports
     from peers still filling their buffers would swamp the steady state
-    either engine settles into).
+    either engine settles into).  One pass over the log.
     """
-    table = SessionTable.from_log(log)
+    table, samples = fold_log(log, SessionTableFold(), ContinuitySamplesFold())
     _grid, counts = table.concurrent_users(
         step_s=max(1.0, horizon_s / 288), t1=horizon_s
     )
@@ -137,7 +141,7 @@ def paper_metrics(log: LogServer, horizon_s: float) -> Dict[str, float]:
     retried = sum(n for r, n in hist.items() if r >= 1)
     return {
         "peak_concurrent_users": float(counts.max()) if counts.size else 0.0,
-        "mean_continuity": mean_continuity(log, after=0.2 * horizon_s),
+        "mean_continuity": mean_continuity(samples, after=0.2 * horizon_s),
         "retry_session_fraction": (retried / users) if users else float("nan"),
     }
 

@@ -139,14 +139,6 @@ class Engine:
         """Number of pending (non-cancelled) events.  O(1)."""
         return self._live
 
-    def peek(self) -> Optional[float]:
-        """Timestamp of the next live event, or ``None`` if the heap is empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self.events_cancelled += 1
-        return heap[0][0] if heap else None
-
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
@@ -176,10 +168,6 @@ class Engine:
         heapq.heappush(self._heap, (time, seq, ev))
         self._live += 1
         return ev
-
-    def call_soon(self, fn: Callable[[], None]) -> Event:
-        """Schedule ``fn`` at the current time (after pending same-time events)."""
-        return self.schedule(0.0, fn)
 
     # ------------------------------------------------------------------
     # heap hygiene

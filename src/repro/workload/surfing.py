@@ -11,7 +11,7 @@ program endings recreate Fig. 5a's partial audience collapse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -145,19 +145,3 @@ class ChannelAudience:
             return
         backoff = self.retry_backoff_s * (0.5 + self._rng.random())
         self.engine.schedule(backoff, lambda v=viewer: self._join(v))
-
-    # ------------------------------------------------------------------
-    def viewers_watching(self) -> int:
-        """Viewers with a live session right now."""
-        return sum(
-            1 for v in self.viewers
-            if not v.done and v.node is not None and v.node.alive
-        )
-
-    def zap_histogram(self) -> Dict[int, int]:
-        """zaps -> viewer count (only viewers whose arrival passed)."""
-        hist: Dict[int, int] = {}
-        for v in self.viewers:
-            if v.attempts > 0 or v.done:
-                hist[v.zaps] = hist.get(v.zaps, 0) + 1
-        return hist

@@ -3,21 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.analysis.classification import (
-    UserType,
-    classify_users,
-    expected_user_type,
-    type_distribution,
-)
+from repro.analysis.classification import UserType, type_distribution
 from repro.analysis.contribution import (
     contribution_by_type,
     contributor_class_share,
     lorenz_curve,
     top_contributor_share,
-    upload_shares,
-    upload_totals,
 )
-from repro.network.connectivity import ConnectivityClass
+from repro.analysis.streaming import (
+    ClassifyUsersFold,
+    UploadTotalsFold,
+    fold_log,
+)
 from repro.telemetry.reports import (
     ActivityEvent,
     ActivityReport,
@@ -44,6 +41,10 @@ def add_node(server, node_id, *, public, incoming, outgoing, upload=0.0):
         ))
 
 
+def classify(server):
+    return fold_log(server, ClassifyUsersFold())[0]
+
+
 class TestClassifier:
     def test_four_quadrants(self):
         server = LogServer()
@@ -51,7 +52,7 @@ class TestClassifier:
         add_node(server, 2, public=False, incoming=1, outgoing=4)  # upnp
         add_node(server, 3, public=False, incoming=0, outgoing=5)  # nat
         add_node(server, 4, public=True, incoming=0, outgoing=5)   # firewall
-        types = classify_users(server)
+        types = classify(server)
         assert types == {
             1: UserType.DIRECT, 2: UserType.UPNP,
             3: UserType.NAT, 4: UserType.FIREWALL,
@@ -62,7 +63,7 @@ class TestClassifier:
         (mis)classified as firewalled -- the paper's 'errors can occur'."""
         server = LogServer()
         add_node(server, 1, public=True, incoming=0, outgoing=3)
-        assert classify_users(server)[1] is UserType.FIREWALL
+        assert classify(server)[1] is UserType.FIREWALL
 
     def test_node_with_only_activity_report(self):
         server = LogServer()
@@ -70,7 +71,7 @@ class TestClassifier:
             time=0.0, node_id=1, user_id=1, session_id=1,
             event=ActivityEvent.JOIN, address_public=False,
         ))
-        assert classify_users(server)[1] is UserType.NAT
+        assert classify(server)[1] is UserType.NAT
 
     def test_event_series_reveals_direction(self):
         from repro.telemetry.reports import PartnerEvent, PartnerOp
@@ -83,17 +84,13 @@ class TestClassifier:
             time=300.0, node_id=1, user_id=1, session_id=1,
             events=(PartnerEvent(10.0, PartnerOp.ADD, 5, incoming=True),),
         ))
-        assert classify_users(server)[1] is UserType.UPNP
-
-    def test_expected_mapping(self):
-        assert expected_user_type(ConnectivityClass.DIRECT) is UserType.DIRECT
-        assert expected_user_type(ConnectivityClass.NAT) is UserType.NAT
+        assert classify(server)[1] is UserType.UPNP
 
     def test_type_distribution_sums_to_one(self):
         server = LogServer()
         add_node(server, 1, public=True, incoming=1, outgoing=1)
         add_node(server, 2, public=False, incoming=0, outgoing=1)
-        dist = type_distribution(classify_users(server))
+        dist = type_distribution(classify(server))
         assert sum(dist.values()) == pytest.approx(1.0)
 
     def test_empty_distribution(self):
@@ -113,26 +110,20 @@ class TestContribution:
                 time=t, node_id=1, user_id=1, session_id=1,
                 bytes_up=0.0, bytes_down=0.0, total_up=total, total_down=0.0,
             ))
-        assert upload_totals(server) == {1: 250.0}
-
-    def test_upload_shares_sum_to_one(self):
-        server = LogServer()
-        add_node(server, 1, public=True, incoming=1, outgoing=1, upload=300.0)
-        add_node(server, 2, public=False, incoming=0, outgoing=1, upload=100.0)
-        shares = upload_shares(server)
-        assert shares[1] == pytest.approx(0.75)
-        assert sum(shares.values()) == pytest.approx(1.0)
+        assert fold_log(server, UploadTotalsFold()) == ({1: 250.0},)
 
     def test_fig3_pairing(self):
         server = LogServer()
         add_node(server, 1, public=True, incoming=2, outgoing=2, upload=800.0)
         add_node(server, 2, public=False, incoming=0, outgoing=2, upload=100.0)
         add_node(server, 3, public=False, incoming=0, outgoing=2, upload=100.0)
-        per_type = contribution_by_type(server)
+        types, totals = fold_log(server, ClassifyUsersFold(),
+                                 UploadTotalsFold())
+        per_type = contribution_by_type(types, totals)
         pop, byt = per_type[UserType.DIRECT]
         assert pop == pytest.approx(1 / 3)
         assert byt == pytest.approx(0.8)
-        cpop, cbyt = contributor_class_share(server)
+        cpop, cbyt = contributor_class_share(per_type)
         assert cpop == pytest.approx(1 / 3)
         assert cbyt == pytest.approx(0.8)
 

@@ -6,10 +6,10 @@ import pytest
 from repro.analysis.classification import UserType
 from repro.analysis.continuity import (
     continuity_by_type,
-    continuity_samples,
     continuity_timeseries,
     mean_continuity,
 )
+from repro.analysis.streaming import ContinuitySamplesFold, fold_log
 from repro.analysis.topology import snapshot_overlay
 from repro.telemetry.reports import QoSReport
 from repro.telemetry.server import LogServer
@@ -22,18 +22,22 @@ def qos(server, node_id, t, continuity, playing=True):
     ))
 
 
+def samples_of(server, **kwargs):
+    return fold_log(server, ContinuitySamplesFold(**kwargs))[0]
+
+
 class TestContinuityAggregation:
     def test_samples_skip_missing_continuity(self):
         server = LogServer()
         qos(server, 1, 300.0, 0.9)
         qos(server, 2, 300.0, None)
-        assert len(continuity_samples(server)) == 1
+        assert len(samples_of(server)) == 1
 
     def test_playing_only_filter(self):
         server = LogServer()
         qos(server, 1, 300.0, 0.9, playing=False)
-        assert continuity_samples(server) == []
-        assert len(continuity_samples(server, playing_only=False)) == 1
+        assert samples_of(server) == []
+        assert len(samples_of(server, playing_only=False)) == 1
 
     def test_timeseries_binning(self):
         server = LogServer()
@@ -41,41 +45,49 @@ class TestContinuityAggregation:
         qos(server, 2, 150.0, 1.0)
         qos(server, 1, 400.0, 0.5)
         centers, means, counts = continuity_timeseries(
-            server, bin_s=300.0, t1=600.0
+            samples_of(server), bin_s=300.0, t1=600.0
         )
         assert means[0] == pytest.approx(0.9)
         assert means[1] == pytest.approx(0.5)
 
     def test_timeseries_empty_log_raises(self):
         with pytest.raises(ValueError):
-            continuity_timeseries(LogServer())
+            continuity_timeseries(samples_of(LogServer()))
 
     def test_mean_continuity_with_warmup_exclusion(self):
         server = LogServer()
         qos(server, 1, 100.0, 0.2)
         qos(server, 1, 500.0, 1.0)
-        assert mean_continuity(server) == pytest.approx(0.6)
-        assert mean_continuity(server, after=300.0) == pytest.approx(1.0)
+        samples = samples_of(server)
+        assert mean_continuity(samples) == pytest.approx(0.6)
+        assert mean_continuity(samples, after=300.0) == pytest.approx(1.0)
 
     def test_mean_continuity_by_type(self):
         server = LogServer()
         qos(server, 1, 300.0, 0.9)
         qos(server, 2, 300.0, 0.5)
+        samples = samples_of(server)
         types = {1: UserType.DIRECT, 2: UserType.NAT}
-        assert mean_continuity(server, types=types,
+        assert mean_continuity(samples, types=types,
                                user_type=UserType.DIRECT) == 0.9
-        assert mean_continuity(server, types=types,
+        assert mean_continuity(samples, types=types,
                                user_type=UserType.NAT) == 0.5
 
+    def test_mean_continuity_by_type_needs_types(self):
+        # the user types come from the caller's fold, never a hidden pass
+        with pytest.raises(ValueError, match="user_type needs types"):
+            mean_continuity([(300.0, 1, 0.9)], user_type=UserType.DIRECT)
+
     def test_mean_continuity_empty_is_nan(self):
-        assert np.isnan(mean_continuity(LogServer()))
+        assert np.isnan(mean_continuity(samples_of(LogServer())))
 
     def test_by_type_series(self):
         server = LogServer()
         qos(server, 1, 100.0, 0.9)
         qos(server, 2, 100.0, 0.7)
         types = {1: UserType.DIRECT, 2: UserType.NAT}
-        series = continuity_by_type(server, bin_s=300.0, types=types, t1=300.0)
+        series = continuity_by_type(types, samples_of(server), bin_s=300.0,
+                                    t1=300.0)
         assert set(series) == {UserType.DIRECT, UserType.NAT}
         assert series[UserType.DIRECT][1][0] == pytest.approx(0.9)
 

@@ -1,26 +1,14 @@
-"""Tests for partner-churn and resource/bottleneck analysis."""
+"""Tests for partner events and resource/bottleneck analysis."""
 
 import pytest
 
-from repro.analysis.classification import UserType
-from repro.analysis.partners import (
-    churn_by_type,
-    churn_rate_timeseries,
-    partner_events,
-    partnership_lifetimes,
-)
 from repro.analysis.resources import (
     SupplyDemand,
     supply_demand_snapshot,
-    upload_rate_timeseries,
     utilization_by_class,
 )
-from repro.telemetry.reports import (
-    PartnerEvent,
-    PartnerOp,
-    PartnerReport,
-    TrafficReport,
-)
+from repro.analysis.streaming import PartnerEventsFold, fold_log
+from repro.telemetry.reports import PartnerEvent, PartnerOp, PartnerReport
 from repro.telemetry.server import LogServer
 
 
@@ -38,70 +26,14 @@ class TestPartnerEvents:
             PartnerEvent(50.0, PartnerOp.ADD, 9, incoming=False),
             PartnerEvent(10.0, PartnerOp.ADD, 8, incoming=True),
         ])
-        events = partner_events(server)
+        (events,) = fold_log(server, PartnerEventsFold())
         assert [e[0] for e in events] == [10.0, 50.0]
 
-    def test_lifetimes_pair_add_and_drop(self):
-        server = LogServer()
-        partner_report(server, 1, [
-            PartnerEvent(10.0, PartnerOp.ADD, 9, incoming=False),
-            PartnerEvent(70.0, PartnerOp.DROP, 9, incoming=False),
-            PartnerEvent(80.0, PartnerOp.ADD, 5, incoming=False),
-        ])
-        lifetimes = partnership_lifetimes(server)
-        assert lifetimes == [60.0]  # the open (1,5) pair is censored
-
-    def test_lifetimes_across_reports(self):
-        server = LogServer()
-        partner_report(server, 1, [
-            PartnerEvent(10.0, PartnerOp.ADD, 9, incoming=False),
-        ], t=300.0)
-        partner_report(server, 1, [
-            PartnerEvent(400.0, PartnerOp.DROP, 9, incoming=False),
-        ], t=600.0)
-        assert partnership_lifetimes(server) == [390.0]
-
-    def test_drop_without_add_ignored(self):
-        server = LogServer()
-        partner_report(server, 1, [
-            PartnerEvent(10.0, PartnerOp.DROP, 9, incoming=False),
-        ])
-        assert partnership_lifetimes(server) == []
-
-    def test_churn_timeseries(self):
-        server = LogServer()
-        partner_report(server, 1, [
-            PartnerEvent(100.0, PartnerOp.ADD, 9, incoming=False),
-            PartnerEvent(150.0, PartnerOp.ADD, 8, incoming=False),
-            PartnerEvent(400.0, PartnerOp.DROP, 9, incoming=False),
-        ])
-        centers, adds, drops = churn_rate_timeseries(
-            server, bin_s=300.0, t1=600.0
-        )
-        assert adds[0] == 2 and drops[0] == 0
-        assert adds[1] == 0 and drops[1] == 1
-
-    def test_churn_timeseries_empty_raises(self):
-        with pytest.raises(ValueError):
-            churn_rate_timeseries(LogServer())
-
-    def test_churn_by_type(self):
-        server = LogServer()
-        partner_report(server, 1, [
-            PartnerEvent(10.0, PartnerOp.DROP, 9, incoming=False),
-            PartnerEvent(20.0, PartnerOp.DROP, 8, incoming=False),
-        ])
-        partner_report(server, 2, [])
-        types = {1: UserType.NAT, 2: UserType.DIRECT}
-        churn = churn_by_type(server, types)
-        assert churn[UserType.NAT] == 2.0
-        assert churn[UserType.DIRECT] == 0.0
-
     def test_end_to_end_churn_from_real_run(self, populated_system):
-        events = partner_events(populated_system.log)
+        (events,) = fold_log(populated_system.log, PartnerEventsFold())
         assert events  # the run produced partner activity
-        lifetimes = partnership_lifetimes(populated_system.log)
-        assert all(l >= 0 for l in lifetimes)
+        times = [e[0] for e in events]
+        assert times == sorted(times) and times[0] >= 0.0
 
 
 class TestSupplyDemand:
@@ -144,19 +76,3 @@ class TestSupplyDemand:
         util = utilization_by_class(populated_system)
         server_share = util.get(ConnectivityClass.SERVER, (0.0, 0.0))[1]
         assert server_share > 0.2
-
-
-class TestUploadRateTimeseries:
-    def test_rates_from_traffic_reports(self):
-        server = LogServer()
-        for node, t, up in ((1, 310.0, 600.0), (2, 320.0, 900.0)):
-            server.receive_report(t, TrafficReport(
-                time=t, node_id=node, user_id=node, session_id=node,
-                bytes_up=up, bytes_down=0.0, total_up=up, total_down=0.0,
-            ))
-        centers, rates = upload_rate_timeseries(server, bin_s=300.0, t1=600.0)
-        assert rates[1] == pytest.approx((600.0 + 900.0) / 300.0)
-
-    def test_empty_log_raises(self):
-        with pytest.raises(ValueError):
-            upload_rate_timeseries(LogServer())

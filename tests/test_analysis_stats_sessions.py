@@ -6,9 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.sessions import Session, SessionTable
+from repro.analysis.streaming import SessionTableFold, fold_log
 from repro.analysis.stats import Cdf, bin_timeseries, tail_fraction
 from repro.telemetry.reports import ActivityEvent, ActivityReport, LeaveReason
 from repro.telemetry.server import LogServer
+
+
+def table_of(server):
+    return fold_log(server, SessionTableFold())[0]
 
 
 def _concurrent_users_loop(table, *, t0, t1, step_s):
@@ -122,7 +127,7 @@ class TestSessionReconstruction:
             (ActivityEvent.PLAYER_READY, 25.0, None),
             (ActivityEvent.LEAVE, 100.0, LeaveReason.NORMAL),
         ])
-        table = SessionTable.from_log(server)
+        table = table_of(server)
         assert len(table) == 1
         sess = table.sessions()[0]
         assert sess.is_normal
@@ -136,7 +141,7 @@ class TestSessionReconstruction:
             (ActivityEvent.JOIN, 10.0, None),
             (ActivityEvent.LEAVE, 40.0, LeaveReason.IMPATIENCE),
         ])
-        sess = SessionTable.from_log(server).sessions()[0]
+        sess = table_of(server).sessions()[0]
         assert not sess.is_normal
         assert not sess.started_playback
         assert sess.duration == 30.0
@@ -147,7 +152,7 @@ class TestSessionReconstruction:
             (ActivityEvent.JOIN, 10.0, None),
             (ActivityEvent.PLAYER_READY, 20.0, None),
         ])
-        sess = SessionTable.from_log(server).sessions()[0]
+        sess = table_of(server).sessions()[0]
         assert sess.duration is None
 
     def test_retry_histogram_links_by_user(self):
@@ -158,7 +163,7 @@ class TestSessionReconstruction:
                              user_id=1, session_id=sid, server=server)
         log_with_session([(ActivityEvent.JOIN, 0.0, None)],
                          user_id=2, session_id=10, server=server)
-        hist = SessionTable.from_log(server).retry_histogram()
+        hist = table_of(server).retry_histogram()
         assert hist == {2: 1, 0: 1}
 
     def test_concurrent_users_counting(self):
@@ -171,7 +176,7 @@ class TestSessionReconstruction:
             (ActivityEvent.JOIN, 30.0, None),
             (ActivityEvent.LEAVE, 90.0, LeaveReason.NORMAL),
         ], session_id=2, user_id=2, server=server)
-        grid, counts = SessionTable.from_log(server).concurrent_users(
+        grid, counts = table_of(server).concurrent_users(
             t0=0.0, t1=100.0, step_s=20.0
         )
         # at t=20: 1 user; t=40: 2; t=60: 1; t=100: 0
@@ -209,7 +214,7 @@ class TestSessionReconstruction:
 
     def test_session_without_leave_counts_as_present(self):
         server = log_with_session([(ActivityEvent.JOIN, 10.0, None)])
-        _grid, counts = SessionTable.from_log(server).concurrent_users(
+        _grid, counts = table_of(server).concurrent_users(
             t0=0.0, t1=100.0, step_s=50.0
         )
         assert counts[-1] == 1
@@ -224,7 +229,7 @@ class TestSessionReconstruction:
             (ActivityEvent.JOIN, 100.0, None),
             (ActivityEvent.PLAYER_READY, 130.0, None),
         ], session_id=2, user_id=2, server=server)
-        table = SessionTable.from_log(server)
+        table = table_of(server)
         assert table.ready_delays() == [5.0, 30.0]
         assert table.ready_delays(join_after=50.0) == [30.0]
         assert table.ready_delays(join_before=50.0) == [5.0]
@@ -236,7 +241,7 @@ class TestSessionReconstruction:
                 (ActivityEvent.JOIN, 0.0, None),
                 (ActivityEvent.LEAVE, dur, LeaveReason.NORMAL),
             ], session_id=sid, user_id=sid, server=server)
-        assert SessionTable.from_log(server).short_session_fraction(60.0) == 0.5
+        assert table_of(server).short_session_fraction(60.0) == 0.5
 
     def test_sessions_per_user_sorted_by_join(self):
         server = LogServer()
@@ -244,5 +249,5 @@ class TestSessionReconstruction:
                          user_id=1, session_id=2, server=server)
         log_with_session([(ActivityEvent.JOIN, 10.0, None)],
                          user_id=1, session_id=1, server=server)
-        by_user = SessionTable.from_log(server).sessions_per_user()
+        by_user = table_of(server).sessions_per_user()
         assert [s.session_id for s in by_user[1]] == [1, 2]

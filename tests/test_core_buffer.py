@@ -9,7 +9,6 @@ from repro.core.buffer import (
     BufferMap,
     CacheBuffer,
     SyncBuffer,
-    combined_prefix_end,
 )
 
 
@@ -188,40 +187,3 @@ class TestBufferMap:
         subs = tuple(h % 2 == 0 for h in heads)
         bm = BufferMap(heads=heads, subscriptions=subs)
         assert BufferMap.from_tuple(bm.as_tuple()) == bm
-
-
-class TestCombination:
-    def test_fig2b_example(self):
-        """Fig. 2b: combination stops awaiting a block from one sub-stream."""
-        # 4 sub-streams; sub-stream 3 (0-indexed) is one block short
-        counts = [3, 3, 3, 1]
-        k = 4
-        # first missing global seq on sub 3 is 3 + 4*1 = 7
-        assert combined_prefix_end(counts, k) == 7
-
-    def test_all_equal_counts(self):
-        assert combined_prefix_end([2, 2], 2) == 4
-
-    def test_zero_counts(self):
-        assert combined_prefix_end([0, 0, 0], 3) == 0
-
-    def test_limited_by_first_substream(self):
-        assert combined_prefix_end([1, 5, 5], 3) == 3
-
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(ValueError):
-            combined_prefix_end([1, 2], 3)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            combined_prefix_end([-1, 0], 2)
-
-    @given(counts=st.lists(st.integers(0, 50), min_size=1, max_size=8))
-    @settings(max_examples=100, deadline=None)
-    def test_property_prefix_really_continuous(self, counts):
-        k = len(counts)
-        end = combined_prefix_end(counts, k)
-        # every global seq < end is covered; seq == end is not
-        for s in range(end):
-            assert s // k < counts[s % k]
-        assert end // k >= counts[end % k]

@@ -10,8 +10,13 @@ design)."""
 import numpy as np
 import pytest
 
-from repro.analysis import SessionTable, Cdf
-from repro.analysis.continuity import mean_continuity
+from repro.analysis import (
+    Cdf,
+    ContinuitySamplesFold,
+    SessionTableFold,
+    fold_log,
+    mean_continuity,
+)
 from repro.core.config import SystemConfig
 from repro.core.system import CoolstreamingSystem
 from repro.fastsim import FastSimulation
@@ -51,25 +56,32 @@ def logs():
     return run_reference(), run_fastsim()
 
 
+@pytest.fixture(scope="module")
+def folded(logs):
+    """Each engine's ``(session table, continuity samples)``: one pass
+    over each log."""
+    return [fold_log(log, SessionTableFold(), ContinuitySamplesFold())
+            for log in logs]
+
+
 class TestCrossValidation:
-    def test_both_engines_get_everyone_playing(self, logs):
-        for log in logs:
-            table = SessionTable.from_log(log)
+    def test_both_engines_get_everyone_playing(self, folded):
+        for table, _samples in folded:
             ready = [s for s in table if s.started_playback]
             assert len(ready) >= 0.9 * N_USERS
 
-    def test_continuity_agrees(self, logs):
-        ref_log, fast_log = logs
-        ref = mean_continuity(ref_log, after=200.0)
-        fast = mean_continuity(fast_log, after=200.0)
+    def test_continuity_agrees(self, folded):
+        (_ref_table, ref_samples), (_fast_table, fast_samples) = folded
+        ref = mean_continuity(ref_samples, after=200.0)
+        fast = mean_continuity(fast_samples, after=200.0)
         assert ref > 0.9
         assert fast > 0.9
         assert abs(ref - fast) < 0.08
 
-    def test_ready_time_scale_agrees(self, logs):
-        ref_log, fast_log = logs
-        ref = Cdf.from_samples(SessionTable.from_log(ref_log).ready_delays())
-        fast = Cdf.from_samples(SessionTable.from_log(fast_log).ready_delays())
+    def test_ready_time_scale_agrees(self, folded):
+        (ref_table, _), (fast_table, _) = folded
+        ref = Cdf.from_samples(ref_table.ready_delays())
+        fast = Cdf.from_samples(fast_table.ready_delays())
         # both within the seconds-to-half-minute regime of Fig. 6; the
         # engines sit at opposite ends of it (the reference engine's
         # message-level catch-up is faster than the fluid engine's
@@ -79,10 +91,10 @@ class TestCrossValidation:
         ratio = max(ref.median, fast.median) / min(ref.median, fast.median)
         assert ratio < 4.0
 
-    def test_session_counts_agree(self, logs):
-        ref_log, fast_log = logs
-        n_ref = len(SessionTable.from_log(ref_log))
-        n_fast = len(SessionTable.from_log(fast_log))
+    def test_session_counts_agree(self, folded):
+        (ref_table, _), (fast_table, _) = folded
+        n_ref = len(ref_table)
+        n_fast = len(fast_table)
         # retries may differ slightly; totals must be comparable
         assert abs(n_ref - n_fast) <= 0.3 * N_USERS
 

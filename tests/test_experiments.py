@@ -80,3 +80,16 @@ class TestFigureFunctions:
         assert result.metrics["eq3_max_rel_error"] < 0.15
         # Eq. 6 Monte Carlo within 2% absolute
         assert result.metrics["eq6_max_abs_error"] < 0.02
+
+    def test_fig5_without_an_audience_has_no_peak(self):
+        """A day nobody watches has no peak to time or to drop from: both
+        read NaN, not a perfect 22:00 cliff at midnight."""
+        import math
+
+        from repro.experiments.figures import fig5_user_evolution
+
+        result = fig5_user_evolution(day_seconds=60.0, peak_rate=0.01,
+                                     n_servers=1)
+        assert result.metrics["peak_concurrent"] == 0.0
+        assert math.isnan(result.metrics["peak_time_frac_of_day"])
+        assert math.isnan(result.metrics["drop_after_program_end"])

@@ -4,17 +4,18 @@ import json
 
 import pytest
 
-from repro.analysis.funnel import JoinFunnel, funnel_by_attempt, join_funnel
+from repro.analysis.funnel import JoinFunnel
+from repro.analysis.streaming import JoinFunnelFold, fold_log
 from repro.experiments.render import FigureResult
 from repro.telemetry.reports import ActivityEvent, ActivityReport, LeaveReason
 from repro.telemetry.server import LogServer
 
 
-def session(server, sid, events, attempt=1):
+def session(server, sid, events):
     for event, t in events:
         server.receive_report(t, ActivityReport(
             time=t, node_id=sid, user_id=sid, session_id=sid,
-            event=event, attempt=attempt,
+            event=event,
             reason=LeaveReason.NORMAL if event is ActivityEvent.LEAVE else None,
         ))
 
@@ -58,23 +59,11 @@ class TestJoinFunnel:
         ])
         # never subscribed
         session(server, 3, [(ActivityEvent.JOIN, 0.0)])
-        f = join_funnel(server)
+        (f,) = fold_log(server, JoinFunnelFold())
         assert (f.joined, f.subscribed, f.ready, f.completed) == (3, 2, 1, 1)
 
-    def test_by_attempt(self):
-        server = LogServer()
-        session(server, 1, [(ActivityEvent.JOIN, 0.0)], attempt=1)
-        session(server, 2, [
-            (ActivityEvent.JOIN, 10.0),
-            (ActivityEvent.START_SUBSCRIPTION, 12.0),
-            (ActivityEvent.PLAYER_READY, 20.0),
-        ], attempt=2)
-        funnels = funnel_by_attempt(server)
-        assert funnels[1].ready == 0
-        assert funnels[2].ready == 1
-
     def test_real_run_funnel_sane(self, populated_system):
-        f = join_funnel(populated_system.log)
+        (f,) = fold_log(populated_system.log, JoinFunnelFold())
         assert f.joined >= 15
         assert 0.5 <= f.ready_rate <= 1.0
         assert f.buffering_survival >= f.ready_rate

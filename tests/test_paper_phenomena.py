@@ -9,12 +9,31 @@ seconds of wall time total).
 import numpy as np
 import pytest
 
-from repro.analysis import SessionTable, classify_users, snapshot_overlay
+from repro.analysis import (
+    ClassifyUsersFold,
+    ContinuitySamplesFold,
+    SessionTableFold,
+    UploadTotalsFold,
+    contribution_by_type,
+    contributor_class_share,
+    fold_log,
+    mean_continuity,
+    snapshot_overlay,
+)
 from repro.analysis.classification import UserType
-from repro.analysis.continuity import mean_continuity
-from repro.analysis.contribution import contributor_class_share, upload_totals
+from repro.network.connectivity import ConnectivityClass
 from repro.runtime import run_scenario
 from repro.workload.scenarios import steady_audience
+
+
+def expected_user_type(cls: ConnectivityClass) -> UserType:
+    """Ground-truth mapping (what a perfect classifier would output)."""
+    return {
+        ConnectivityClass.DIRECT: UserType.DIRECT,
+        ConnectivityClass.UPNP: UserType.UPNP,
+        ConnectivityClass.NAT: UserType.NAT,
+        ConnectivityClass.FIREWALL: UserType.FIREWALL,
+    }[cls]
 
 
 @pytest.fixture(scope="module")
@@ -25,19 +44,27 @@ def steady_run():
     return res.system, res.population
 
 
+@pytest.fixture(scope="module")
+def folds(steady_run):
+    """The run's session table, user types, upload totals and continuity
+    samples, from one pass over its log."""
+    system, _pop = steady_run
+    return fold_log(system.log, SessionTableFold(), ClassifyUsersFold(),
+                    UploadTotalsFold(), ContinuitySamplesFold())
+
+
 class TestFig3Phenomena:
-    def test_minority_contributes_supermajority_of_upload(self, steady_run):
+    def test_minority_contributes_supermajority_of_upload(self, folds):
         """Fig. 3: ~30% of peers carry >80% of uploaded bytes."""
-        system, _pop = steady_run
-        pop_frac, up_frac = contributor_class_share(system.log)
+        _table, types, totals, _samples = folds
+        pop_frac, up_frac = contributor_class_share(
+            contribution_by_type(types, totals))
         assert pop_frac < 0.45
         assert up_frac > 0.8
 
-    def test_nat_firewall_upload_nonzero(self, steady_run):
+    def test_nat_firewall_upload_nonzero(self, folds):
         """NAT/firewall peers still upload a little (they can parent)."""
-        system, _pop = steady_run
-        types = classify_users(system.log)
-        totals = upload_totals(system.log)
+        _table, types, totals, _samples = folds
         nat_bytes = sum(
             b for nid, b in totals.items()
             if types.get(nid) in (UserType.NAT, UserType.FIREWALL)
@@ -56,8 +83,6 @@ class TestFig4Phenomena:
         assert snapshot_overlay(system).random_link_fraction() < 0.25
 
     def test_contributor_outdegree_dominates(self, steady_run):
-        from repro.network.connectivity import ConnectivityClass
-
         system, _pop = steady_run
         degs = snapshot_overlay(system).out_degree_by_class()
         weak = [
@@ -72,32 +97,28 @@ class TestFig4Phenomena:
 
 
 class TestFig6Phenomena:
-    def test_buffering_wait_in_paper_regime(self, steady_run):
+    def test_buffering_wait_in_paper_regime(self, folds):
         """Fig. 6: users wait seconds-to-tens-of-seconds for the buffer."""
-        system, _pop = steady_run
-        table = SessionTable.from_log(system.log)
+        table = folds[0]
         diffs = table.buffering_delays()
         assert diffs
         assert 2.0 < float(np.median(diffs)) < 30.0
 
-    def test_ready_time_heavy_tail(self, steady_run):
-        system, _pop = steady_run
-        delays = SessionTable.from_log(system.log).ready_delays()
+    def test_ready_time_heavy_tail(self, folds):
+        delays = folds[0].ready_delays()
         assert np.max(delays) > 2.0 * np.median(delays)
 
 
 class TestFig8Phenomena:
-    def test_all_types_high_continuity(self, steady_run):
-        system, _pop = steady_run
-        types = classify_users(system.log)
+    def test_all_types_high_continuity(self, folds):
+        _table, types, _totals, samples = folds
         for ut in (UserType.DIRECT, UserType.NAT):
-            m = mean_continuity(system.log, after=300.0, types=types,
+            m = mean_continuity(samples, after=300.0, types=types,
                                 user_type=ut)
             assert m > 0.9, f"{ut} continuity {m}"
 
-    def test_overall_continuity_near_paper_level(self, steady_run):
-        system, _pop = steady_run
-        assert mean_continuity(system.log, after=300.0) > 0.93
+    def test_overall_continuity_near_paper_level(self, folds):
+        assert mean_continuity(folds[3], after=300.0) > 0.93
 
 
 class TestFig10Phenomena:
@@ -111,23 +132,21 @@ class TestFig10Phenomena:
         _system, population = steady_run
         assert population.success_fraction() > 0.75
 
-    def test_short_sessions_present(self, steady_run):
+    def test_short_sessions_present(self, folds):
         """Failed joins leave a spike of sub-minute sessions."""
-        system, _pop = steady_run
-        table = SessionTable.from_log(system.log)
+        table = folds[0]
         assert table.short_session_fraction(60.0) > 0.02
 
 
 class TestClassifierAgainstGroundTruth:
-    def test_classifier_mostly_correct_with_documented_bias(self, steady_run):
+    def test_classifier_mostly_correct_with_documented_bias(self, steady_run,
+                                                           folds):
         """The log-based classifier agrees with simulator ground truth for
         most nodes; its errors go in the direction the paper warns about
         (contributors missing incoming partners get demoted, never the
         reverse for NAT)."""
-        from repro.analysis.classification import expected_user_type
-
         system, _pop = steady_run
-        types = classify_users(system.log)
+        types = folds[1]
         checked = 0
         correct = 0
         for node in system.peers(alive_only=False):

@@ -69,13 +69,6 @@ class TestScheduling:
         eng.run()
         assert order == ["a", "b", "c"]
 
-    def test_call_soon_runs_at_current_time(self):
-        eng = Engine()
-        seen = []
-        eng.schedule(5.0, lambda: eng.call_soon(lambda: seen.append(eng.now)))
-        eng.run()
-        assert seen == [5.0]
-
     def test_nested_scheduling_during_run(self):
         eng = Engine()
         seen = []
@@ -92,16 +85,6 @@ class TestScheduling:
         eng.schedule(1.0, lambda: None)
         eng.schedule(2.0, lambda: None)
         assert len(eng) == 2
-
-    def test_peek_returns_next_time(self):
-        eng = Engine()
-        eng.schedule(7.0, lambda: None)
-        eng.schedule(3.0, lambda: None)
-        assert eng.peek() == 3.0
-
-    def test_peek_empty_returns_none(self):
-        assert Engine().peek() is None
-
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
@@ -125,26 +108,6 @@ class TestCancellation:
         eng.schedule(2.0, lambda: None)
         ev.cancel()
         assert len(eng) == 1
-
-    def test_peek_skips_cancelled(self):
-        eng = Engine()
-        ev = eng.schedule(1.0, lambda: None)
-        eng.schedule(5.0, lambda: None)
-        ev.cancel()
-        assert eng.peek() == 5.0
-
-    def test_peek_counts_dropped_cancelled_events(self):
-        eng = Engine()
-        evs = [eng.schedule(t, lambda: None) for t in (1.0, 2.0, 3.0)]
-        evs[0].cancel()
-        evs[1].cancel()
-        assert eng.peek() == 3.0
-        assert eng.events_cancelled == 2
-        # the run loop must not re-count events peek already dropped
-        eng.run()
-        assert eng.events_cancelled == 2
-        assert eng.events_processed == 1
-
 
 class TestRunControl:
     def test_until_excludes_later_events(self):

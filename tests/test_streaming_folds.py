@@ -1,5 +1,5 @@
-"""Streaming folds: single-pass analysis equals whole-trace analysis,
-in memory and over a spilled log, bit for bit."""
+"""Streaming folds: one pass over N folds equals N passes, in memory and
+over a spilled log, bit for bit."""
 
 from __future__ import annotations
 
@@ -8,15 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.classification import classify_users
-from repro.analysis.continuity import (
-    continuity_by_type,
-    continuity_samples,
-    mean_continuity,
-)
-from repro.analysis.contribution import contribution_by_type, upload_totals
-from repro.analysis.funnel import join_funnel
-from repro.analysis.partners import churn_by_type, partner_events
+from repro.analysis.continuity import continuity_by_type, mean_continuity
+from repro.analysis.contribution import contribution_by_type
+from repro.analysis.funnel import funnel_of_table
 from repro.analysis import streaming
 from repro.analysis.sessions import SessionTable
 from repro.analysis.streaming import (
@@ -78,6 +72,13 @@ def _table_payload(table: SessionTable):
     )
 
 
+def _both(mem_log, spilled_log, *folds):
+    """``folds``' results over the in-memory log and over the spilled one
+    (fresh folds each, one pass per log)."""
+    return (fold_log(mem_log, *folds),
+            fold_log(spilled_log, *(f.empty() for f in folds)))
+
+
 class TestSpilledEqualsMemory:
     """Every figure reconstruction is bit-identical over the spilled log."""
 
@@ -85,69 +86,69 @@ class TestSpilledEqualsMemory:
         # the fixture must exercise folds for real: hundreds of reports,
         # several users, at least one departure
         assert len(mem_log) > 200
-        table = SessionTable.from_log(mem_log)
+        (table,) = fold_log(mem_log, SessionTableFold())
         assert len(table.sessions()) > 10
         assert any(s.leave_time is not None for s in table.sessions())
 
     def test_sessions_table(self, mem_log, spilled_log):
-        assert _table_payload(SessionTable.from_log(mem_log)) == \
-               _table_payload(SessionTable.from_log(spilled_log))
+        (mem,), (spilled,) = _both(mem_log, spilled_log, SessionTableFold())
+        assert _table_payload(mem) == _table_payload(spilled)
 
     def test_classification(self, mem_log, spilled_log):
-        assert classify_users(mem_log) == classify_users(spilled_log)
+        mem, spilled = _both(mem_log, spilled_log, ClassifyUsersFold())
+        assert mem == spilled
 
     def test_upload_totals_and_contribution(self, mem_log, spilled_log):
-        assert upload_totals(mem_log) == upload_totals(spilled_log)
-        assert contribution_by_type(mem_log) == \
-               contribution_by_type(spilled_log)
+        mem, spilled = _both(mem_log, spilled_log, ClassifyUsersFold(),
+                             UploadTotalsFold())
+        assert mem == spilled
+        assert contribution_by_type(*mem) == contribution_by_type(*spilled)
 
     def test_continuity(self, mem_log, spilled_log):
-        assert continuity_samples(mem_log) == continuity_samples(spilled_log)
-        by_type_mem = continuity_by_type(mem_log)
-        by_type_spill = continuity_by_type(spilled_log)
+        mem, spilled = _both(mem_log, spilled_log, ClassifyUsersFold(),
+                             ContinuitySamplesFold())
+        assert mem == spilled
+        by_type_mem = continuity_by_type(*mem)
+        by_type_spill = continuity_by_type(*spilled)
         assert by_type_mem.keys() == by_type_spill.keys()
         for utype, series_mem in by_type_mem.items():
             for arr_mem, arr_spill in zip(series_mem, by_type_spill[utype]):
                 assert np.array_equal(arr_mem, arr_spill, equal_nan=True)
-        a = mean_continuity(mem_log, after=60.0)
-        b = mean_continuity(spilled_log, after=60.0)
+        a = mean_continuity(mem[1], after=60.0)
+        b = mean_continuity(spilled[1], after=60.0)
         assert (a == b) or (np.isnan(a) and np.isnan(b))
 
     def test_partner_events_and_churn(self, mem_log, spilled_log):
-        assert partner_events(mem_log) == partner_events(spilled_log)
-        assert churn_by_type(mem_log) == churn_by_type(spilled_log)
+        mem, spilled = _both(mem_log, spilled_log, PartnerEventsFold())
+        assert mem == spilled
 
     def test_join_funnel(self, mem_log, spilled_log):
-        assert join_funnel(mem_log) == join_funnel(spilled_log)
+        mem, spilled = _both(mem_log, spilled_log, JoinFunnelFold())
+        assert mem == spilled
 
 
 class TestSinglePassEqualsWholeTrace:
-    """fold_log over N folds equals N independent whole-trace passes."""
+    """fold_log over N folds equals N independent passes."""
 
     def test_multi_fold_single_pass(self, mem_log):
-        types, totals, samples, events = fold_log(
-            mem_log, ClassifyUsersFold(), UploadTotalsFold(),
-            ContinuitySamplesFold(), PartnerEventsFold())
-        assert types == classify_users(mem_log)
-        assert totals == upload_totals(mem_log)
-        assert samples == continuity_samples(mem_log)
-        assert events == partner_events(mem_log)
+        folds = (ClassifyUsersFold(), UploadTotalsFold(),
+                 ContinuitySamplesFold(), PartnerEventsFold())
+        together = fold_log(mem_log, *folds)
+        assert together == tuple(fold_log(mem_log, fold.empty())[0]
+                                 for fold in folds)
 
     def test_wrapped_folds(self, mem_log):
+        # the views read the statistic off the session table they wrap
         (grid, counts), funnel = fold_log(
             mem_log,
             ConcurrentUsersFold(t0=0.0, t1=400.0, step_s=30.0),
             JoinFunnelFold())
-        ref_grid, ref_counts = SessionTable.from_log(
-            mem_log).concurrent_users(t0=0.0, t1=400.0, step_s=30.0)
+        (table,) = fold_log(mem_log, SessionTableFold())
+        ref_grid, ref_counts = table.concurrent_users(
+            t0=0.0, t1=400.0, step_s=30.0)
         assert np.array_equal(grid, ref_grid)
         assert np.array_equal(counts, ref_counts)
-        assert funnel == join_funnel(mem_log)
-
-    def test_session_fold_alone(self, mem_log):
-        (table,) = fold_log(mem_log, SessionTableFold())
-        assert _table_payload(table) == \
-               _table_payload(SessionTable.from_log(mem_log))
+        assert funnel == funnel_of_table(table)
 
 
 def _shipped_folds():
@@ -521,7 +522,7 @@ class TestFoldProtocol:
     def test_iter_reports_accepts_plain_iterables(self, mem_log):
         reports = list(mem_log.reports())
         (totals,) = fold_log(reports, UploadTotalsFold())
-        assert totals == upload_totals(mem_log)
+        assert totals == fold_log(mem_log, UploadTotalsFold())[0]
         assert list(iter_reports(reports)) == reports
 
     def test_iter_reports_accepts_entry_sources(self, mem_log):
@@ -533,4 +534,4 @@ class TestFoldProtocol:
                 return self._server.iter_entries()
 
         (totals,) = fold_log(EntriesOnly(mem_log), UploadTotalsFold())
-        assert totals == upload_totals(mem_log)
+        assert totals == fold_log(mem_log, UploadTotalsFold())[0]
