@@ -37,7 +37,7 @@ def test_partial_collapse_at_program_end(benchmark):
             })
 
         def end_program():
-            for peer in deployment.channel(1).peers(alive_only=True):
+            for peer in deployment.channel(1).peers():
                 peer.leave(LeaveReason.PROGRAM_END)
 
         deployment.engine.schedule_at(0.6 * horizon - 1.0,

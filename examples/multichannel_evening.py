@@ -35,7 +35,7 @@ def main() -> None:
 
     # programs end at staggered times; their watchers leave
     def end_program(channel_idx: int) -> None:
-        for peer in deployment.channel(channel_idx).peers(alive_only=True):
+        for peer in deployment.channel(channel_idx).peers():
             peer.leave(LeaveReason.PROGRAM_END)
 
     deployment.engine.schedule_at(0.6 * horizon, lambda: end_program(2))

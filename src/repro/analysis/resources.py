@@ -76,7 +76,7 @@ def supply_demand_snapshot(
     server_supply = sum(s.upload_bps for s in system.servers if s.alive)
     peer_supply = 0.0
     raw_supply = 0.0
-    for peer in system.peers(alive_only=True):
+    for peer in system.peers():
         raw_supply += peer.upload_bps
         if peer.connectivity.is_contributor_class:
             peer_supply += peer.upload_bps

@@ -119,6 +119,11 @@ class CoolstreamingSystem:
         self._next_node_id = int(node_id_base)
         self._next_session_id = int(session_id_base)
         self.sessions_spawned = 0
+        # what departed peers contributed to the every-session totals
+        # below, folded in by on_node_left before the peer is dropped
+        self._left_adaptations = 0
+        self._left_pull_requests = 0
+        self._left_parents = 0
 
         # log-server uplink latency endpoint
         self.latency.register(LOGSERVER_ID, self.rng.stream("latency"))
@@ -217,22 +222,69 @@ class CoolstreamingSystem:
         return node
 
     def on_node_left(self, node: PeerNode) -> None:
-        """Callback from a leaving node: free its network endpoint.  The
-        node object stays in the registry (marked dead) so that in-flight
-        RPCs resolve and post-run analysis can inspect it."""
-        self.latency.unregister(node.node_id)
+        """Callback from a leaving node: free everything the system holds
+        for it.
+
+        Its counters are folded into the every-session totals
+        (:attr:`adaptations`, :attr:`pull_requests_sent`,
+        :attr:`parents_held`), which is what post-run readers used to sum
+        over dead registry entries.  Then its latency endpoint, its
+        ``node.{id}`` random stream and its registry entry go: an RPC still
+        in flight to it finds no node and is dropped, as it was for a dead
+        one.  With nothing else holding it, the node is freed by
+        refcounting, so memory follows the live audience, not every
+        session ever spawned.
+        """
+        node_id = node.node_id
+        if not node.is_server:
+            self._left_adaptations += node.adaptation_count
+            if node.pull_req is not None:
+                self._left_pull_requests += node.pull_req.requests_sent
+            self._left_parents += sum(1 for p in node.parents
+                                      if p is not None)
+        self.latency.unregister(node_id)
+        self.rng.release(f"node.{node_id}")
+        self._nodes.pop(node_id, None)
 
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
-    def peers(self, *, alive_only: bool = True) -> List[PeerNode]:
-        """All user peers (never servers or the source)."""
-        out = []
-        for node in self._nodes.values():
-            if isinstance(node, PeerNode) and not node.is_server:
-                if not alive_only or node.alive:
-                    out.append(node)
-        return out
+    def peers(self) -> List[PeerNode]:
+        """Live user peers (never servers or the source).  Departed peers
+        are gone from the registry; their counters live on in the
+        every-session totals."""
+        return [
+            n for n in self._nodes.values()
+            if isinstance(n, PeerNode) and not n.is_server and n.alive
+        ]
+
+    def _registered_peers(self):
+        """User peers still in the registry, live or not (a peer killed by
+        assigning ``state`` never called :meth:`on_node_left`)."""
+        return (n for n in self._nodes.values()
+                if isinstance(n, PeerNode) and not n.is_server)
+
+    @property
+    def adaptations(self) -> int:
+        """Parent re-selections by adaptation, summed over every session
+        spawned so far, departed ones included."""
+        return self._left_adaptations + sum(
+            p.adaptation_count for p in self._registered_peers())
+
+    @property
+    def pull_requests_sent(self) -> int:
+        """Pull-mode block requests, summed over every session so far."""
+        return self._left_pull_requests + sum(
+            p.pull_req.requests_sent for p in self._registered_peers()
+            if p.pull_req is not None)
+
+    @property
+    def parents_held(self) -> int:
+        """Sub-stream parents held, summed over every session: a departed
+        session counts those it held when it left."""
+        return self._left_parents + sum(
+            1 for p in self._registered_peers()
+            for parent in p.parents if parent is not None)
 
     def all_streaming_nodes(self) -> List[PeerNode]:
         """Servers plus alive user peers (potential parents)."""
@@ -266,7 +318,7 @@ class CoolstreamingSystem:
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, float]:
         """Quick aggregate health snapshot (simulator-side, not from logs)."""
-        peers = self.peers(alive_only=True)
+        peers = self.peers()
         playing = [p for p in peers if p.state is NodeState.PLAYING]
         cont = [
             p.playback.continuity_index for p in playing if p.playback is not None

@@ -27,7 +27,8 @@ in a transparent proxy that
   (only once at least one declaration exists -- an undeclared hub stays
   in pure accounting mode), and
 * flags draws from a stream outside its declared owner scope
-  (:meth:`RngHub.owned_by`).
+  (:meth:`RngHub.owned_by`), and
+* flags re-creation of a stream that was :meth:`RngHub.release`-d.
 
 Violations increment ``rng.sanitizer.violations`` (plus a per-kind
 counter) on the ambient obs metrics registry and are kept on
@@ -42,7 +43,7 @@ from __future__ import annotations
 import os
 import zlib
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -133,6 +134,7 @@ class RngHub:
         self._draw_counts: Dict[str, int] = {}
         self._owner_stack: List[str] = []
         self._violations: List[Tuple[str, str]] = []
+        self._released: Set[str] = set()
 
     @property
     def seed(self) -> int:
@@ -163,9 +165,28 @@ class RngHub:
                     "undeclared_stream",
                     f"stream {name!r} created without declaration "
                     f"(declared: {sorted(self._declared)})")
+            if self._sanitize and name in self._released:
+                self._violation(
+                    "released_stream",
+                    f"stream {name!r} re-created after release() "
+                    f"(it would replay its draws from the start)")
         if self._sanitize:
             return self._wrapped(name, gen)  # type: ignore[return-value]
         return gen
+
+    def release(self, name: str) -> None:
+        """Forget the stream ``name`` (a departed peer's ``node.{id}``).
+
+        The hub then holds nothing for it, so memory follows the live
+        streams, not every stream ever created.  Other streams' draws are
+        untouched: each is derived from (hub seed, name) alone.  A
+        released name must not be requested again -- it would restart
+        from its first draw -- and under the sanitizer doing so is a
+        violation.  Releasing an unknown name is a no-op.
+        """
+        self._streams.pop(name, None)
+        if self._sanitize:
+            self._released.add(name)
 
     # --- seed-discipline sanitizer -----------------------------------
     def declare(self, name: str, owner: Optional[str] = None) -> None:

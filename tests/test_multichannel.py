@@ -103,7 +103,7 @@ class TestAudience:
         deployment.run(until=500.0)
         live_by_user = {}
         for ch in deployment.channels:
-            for peer in ch.peers(alive_only=True):
+            for peer in ch.peers():
                 live_by_user.setdefault(peer.user_id, 0)
                 live_by_user[peer.user_id] += 1
         assert all(n == 1 for n in live_by_user.values())
@@ -123,7 +123,7 @@ class TestAudience:
         # end channel 0's program: everyone watching it leaves
         from repro.telemetry.reports import LeaveReason
 
-        for peer in dep.channel(0).peers(alive_only=True):
+        for peer in dep.channel(0).peers():
             peer.leave(LeaveReason.PROGRAM_END)
         dep.run(until=200.0)
         after = dep.audience_by_channel()

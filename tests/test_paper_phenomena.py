@@ -22,7 +22,7 @@ from repro.analysis import (
 )
 from repro.analysis.classification import UserType
 from repro.network.connectivity import ConnectivityClass
-from repro.runtime import run_scenario
+from repro.runtime import build_backend
 from repro.workload.scenarios import steady_audience
 
 
@@ -37,11 +37,32 @@ def expected_user_type(cls: ConnectivityClass) -> UserType:
 
 
 @pytest.fixture(scope="module")
-def steady_run():
-    """One shared steady-state run analysed by every test in the module."""
+def spawned_and_run():
+    """One shared steady-state run analysed by every test in the module,
+    plus the (node id, connectivity) of every peer it spawned: a departed
+    peer is gone from the system's registry, so a spawn hook keeps its
+    ground truth."""
     scenario = steady_audience(rate_per_s=0.35, horizon_s=1000.0, n_servers=3)
-    res = run_scenario(scenario, seed=21, engine="detailed")
-    return res.system, res.population
+    backend = build_backend(scenario, seed=21, engine="detailed")
+    system = backend.system
+    spawned = []
+    spawn_peer = system.spawn_peer
+
+    def recording_spawn(**kwargs):
+        node = spawn_peer(**kwargs)
+        spawned.append((node.node_id, node.connectivity))
+        return node
+
+    system.spawn_peer = recording_spawn
+    backend.run(scenario.horizon_s)
+    backend.log.flush()
+    return spawned, (system, backend.population)
+
+
+@pytest.fixture(scope="module")
+def steady_run(spawned_and_run):
+    """The shared run's system and population."""
+    return spawned_and_run[1]
 
 
 @pytest.fixture(scope="module")
@@ -139,21 +160,23 @@ class TestFig10Phenomena:
 
 
 class TestClassifierAgainstGroundTruth:
-    def test_classifier_mostly_correct_with_documented_bias(self, steady_run,
-                                                           folds):
+    def test_classifier_mostly_correct_with_documented_bias(
+            self, spawned_and_run, folds):
         """The log-based classifier agrees with simulator ground truth for
-        most nodes; its errors go in the direction the paper warns about
-        (contributors missing incoming partners get demoted, never the
-        reverse for NAT)."""
-        system, _pop = steady_run
+        most nodes, departed ones included; its errors go in the direction
+        the paper warns about (contributors missing incoming partners get
+        demoted, never the reverse for NAT)."""
+        spawned, (system, _pop) = spawned_and_run
         types = folds[1]
         checked = 0
         correct = 0
-        for node in system.peers(alive_only=False):
-            got = types.get(node.node_id)
+        departed = 0
+        for node_id, connectivity in spawned:
+            got = types.get(node_id)
             if got is None:
                 continue
-            expected = expected_user_type(node.connectivity)
+            departed += system.get_node(node_id) is None
+            expected = expected_user_type(connectivity)
             checked += 1
             if got is expected:
                 correct += 1
@@ -161,5 +184,6 @@ class TestClassifierAgainstGroundTruth:
                 # a NAT peer can only be misread as UPnP via real incoming
                 # partnerships (hole punching) -- rare but legal
                 assert got in (UserType.UPNP, UserType.NAT)
-        assert checked > 50
+        assert checked == len(spawned) > 50  # every session was logged
+        assert departed > 0
         assert correct / checked > 0.6

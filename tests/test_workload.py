@@ -150,8 +150,9 @@ class TestUserAgents:
         agent.schedule_arrival()
         system.run(until=300.0)
         assert agent.done
-        assert agent.node.outcome is SessionOutcome.NORMAL
-        assert agent.node.left_at == pytest.approx(130.0, abs=1.0)
+        assert agent.node is None  # the ended session lives on as its record
+        assert agent.sessions[-1].outcome is SessionOutcome.NORMAL
+        assert agent.sessions[-1].ended_at == pytest.approx(130.0, abs=1.0)
 
     def test_failed_join_retries(self, small_cfg):
         # no servers: joins must time out and retry until exhausted
@@ -178,7 +179,7 @@ class TestUserAgents:
         agent.program_ended(leave_probability=1.0)
         system.run(until=120.0)
         assert agent.done
-        assert agent.node.outcome is SessionOutcome.PROGRAM_END
+        assert agent.sessions[-1].outcome is SessionOutcome.PROGRAM_END
 
     def test_population_builds_and_runs(self, small_cfg):
         scenario = steady_audience(rate_per_s=0.1, horizon_s=300.0,
