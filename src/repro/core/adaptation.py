@@ -41,6 +41,8 @@ __all__ = [
 class CooldownTimer:
     """Confines a node to one adaptation per ``T_a`` (Section IV.B)."""
 
+    __slots__ = ("_ta", "_enabled", "_last")
+
     def __init__(self, ta_seconds: float, enabled: bool = True) -> None:
         if ta_seconds < 0:
             raise ValueError("T_a must be non-negative")

@@ -35,6 +35,8 @@ class SyncBuffer:
     before the join offset never existed).
     """
 
+    __slots__ = ("_start", "_count", "head", "_pending")
+
     def __init__(self, start: int = 0) -> None:
         if start < 0:
             raise ValueError("start must be non-negative")
@@ -116,6 +118,8 @@ class CacheBuffer:
     out by playout (Section IV.A's unavailability hazard for joiners that
     request too-old blocks).
     """
+
+    __slots__ = ("_window",)
 
     def __init__(self, window: int) -> None:
         if window <= 0:

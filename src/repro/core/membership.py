@@ -83,6 +83,8 @@ class MCache:
     node refreshes rather than duplicates the entry.
     """
 
+    __slots__ = ("_owner", "_capacity", "_policy", "_entries")
+
     def __init__(
         self,
         owner_id: int,

@@ -79,6 +79,23 @@ class SessionOutcome(str, enum.Enum):
 class PeerNode:
     """One session of one peer."""
 
+    # one instance per session: slots instead of an instance dict, which
+    # cost ~1.6 KB a node
+    __slots__ = (
+        "system", "cfg", "geometry", "engine", "node_id", "user_id",
+        "session_id", "attempt", "connectivity", "upload_bps", "_state",
+        "alive", "outcome", "joined_at", "start_subscription_at",
+        "player_ready_at", "left_at", "_rng", "mcache", "partners", "cooldown",
+        "scheduler", "cache", "pull_mode", "pull_sched", "pull_req", "sync",
+        "heads", "parents", "playback", "start_index", "bits_downloaded",
+        "_bits_down_reported", "_bits_up_reported", "adaptation_count",
+        "on_session_end", "_pending_partners", "_last_bootstrap_contact",
+        "_last_stall_check", "_control_task", "_delivery_task",
+        "_last_delivery", "_control_ticks", "_gossip_every", "_block_bits",
+        "_cache_window", "_stale_timeout", "_node_lookup", "reporter",
+        "__weakref__",
+    )
+
     is_server = False
     is_source = False
 

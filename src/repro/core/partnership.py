@@ -29,7 +29,7 @@ class Direction(str, enum.Enum):
     INCOMING = "in"   # the partner initiated
 
 
-@dataclass
+@dataclass(slots=True)
 class PartnerState:
     """Everything this node knows about one partner."""
 
@@ -54,6 +54,11 @@ class PartnerState:
 
 class PartnershipManager:
     """Bounded set of partnerships with direction and BM bookkeeping."""
+
+    __slots__ = (
+        "_owner", "_max", "_partners", "total_incoming_ever",
+        "total_outgoing_ever",
+    )
 
     def __init__(self, owner_id: int, max_partners: int) -> None:
         if max_partners < 1:

@@ -63,6 +63,11 @@ class PullScheduler:
     flows*, not in the bandwidth model.
     """
 
+    __slots__ = (
+        "upload_bps", "_sub_rate", "_block_bits", "_queues", "_credit",
+        "_queued_blocks", "bits_uploaded", "requests_received",
+    )
+
     def __init__(self, upload_bps: float, substream_rate_bps: float,
                  block_bits: float) -> None:
         if upload_bps < 0:
@@ -190,6 +195,11 @@ class PullRequester:
     timeout_s:
         Re-request blocks not delivered within this long.
     """
+
+    __slots__ = (
+        "k", "horizon", "timeout_s", "_requested_until", "_requested_at",
+        "requests_sent",
+    )
 
     def __init__(self, n_substreams: int, horizon_blocks: int,
                  timeout_s: float) -> None:

@@ -66,6 +66,11 @@ class UploadScheduler:
         Bits per block (one second of one sub-stream).
     """
 
+    __slots__ = (
+        "upload_bps", "_sub_rate", "_block_bits", "_catchup_demand", "_conns",
+        "bits_uploaded", "last_saturated",
+    )
+
     def __init__(self, upload_bps: float, substream_rate_bps: float,
                  block_bits: float) -> None:
         if upload_bps < 0:
@@ -237,6 +242,12 @@ class PlaybackState:
     parent's cache before we subscribed) are recorded explicitly so they
     are charged as missed even though the contiguous head jumped over them.
     """
+
+    __slots__ = (
+        "k", "start_index", "position", "playing", "started_at", "blocks_due",
+        "blocks_missed", "_window_due", "_window_missed", "_watch_due",
+        "_watch_missed", "_holes",
+    )
 
     def __init__(self, n_substreams: int, start_index: int) -> None:
         if start_index < 0:

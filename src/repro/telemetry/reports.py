@@ -389,7 +389,7 @@ class PartnerOp(str, enum.Enum):
     DROP = "d"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartnerEvent:
     """One partner add/drop, with direction seen from the reporting node."""
 
