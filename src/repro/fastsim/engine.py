@@ -51,7 +51,7 @@ import heapq
 import os
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -230,6 +230,12 @@ class FastSimulation:
         self._program_endings: List[Tuple[float, float]] = []
         self._retries_by_user: Dict[int, int] = {}
         self._user_deadline: Dict[int, float] = {}
+        # success_fraction's ground truth: users whose first session
+        # spawned, users with a session that reached PLAYING, and the users
+        # who retried after playing (so a second playback is not counted)
+        self.users_spawned = 0
+        self.users_played = 0
+        self._retried_after_playing: Set[int] = set()
 
         # --- infrastructure slots --------------------------------------------
         self.n_servers = self.cfg.n_servers
@@ -428,6 +434,7 @@ class FastSimulation:
         self.next_try[slots] = 0.0
         self._next_session += n
         self.sessions_spawned += n
+        self.users_spawned += int(np.count_nonzero(atts == 1))
         self._activities(slots, ActivityEvent.JOIN)
         if self._obs is not None:
             self._obs.registry.counter("fastsim.joins").inc(n)
@@ -471,6 +478,7 @@ class FastSimulation:
         self._free.extend(int(s) for s in slots)
         if retry and reason in (LeaveReason.IMPATIENCE, LeaveReason.FAILURE):
             draws = self._rng.random(slots.size)
+            played = ~np.isnan(self.ready_at[slots])
             for i in range(slots.size):
                 att = int(atts[i])
                 if att > self.cfg.max_join_retries:
@@ -479,6 +487,8 @@ class FastSimulation:
                 self._retries_by_user[uid] = (
                     self._retries_by_user.get(uid, 0) + 1
                 )
+                if played[i]:
+                    self._retried_after_playing.add(uid)
                 backoff = self.cfg.retry_backoff_s * (0.5 + float(draws[i]))
                 # keep the user's original departure deadline
                 heapq.heappush(
@@ -790,6 +800,13 @@ class FastSimulation:
                 self.ready_at[ready_rows] = now
                 self.q[ready_rows] = self.start_idx[ready_rows]
                 self._activities(ready_rows, ActivityEvent.PLAYER_READY)
+                replayed = self._retried_after_playing
+                if replayed:
+                    self.users_played += sum(
+                        1 for uid in self.user_id[ready_rows].tolist()
+                        if uid not in replayed)
+                else:
+                    self.users_played += int(ready_rows.size)
         if timing:
             _pt = self._mark_phase("ready", _pt)
 
@@ -1047,6 +1064,15 @@ class FastSimulation:
         if not mask.any():
             return float("nan")
         return float((1.0 - self.missed[mask] / self.due[mask]).mean())
+
+    def success_fraction(self) -> float:
+        """Fraction of spawned users with a session that reached PLAYING
+        (NaN before the first spawn).  Every spawn logs a JOIN and every
+        PLAYING transition a READY at once, so this is the fraction the
+        log's session table gives, without reading the log."""
+        if not self.users_spawned:
+            return float("nan")
+        return self.users_played / self.users_spawned
 
     def retry_histogram(self) -> Dict[int, int]:
         """retries -> user count, from the retry bookkeeping."""

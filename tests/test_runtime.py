@@ -9,6 +9,7 @@ seed) -- and each backend consuming it is bit-reproducible run-to-run.
 import numpy as np
 import pytest
 
+from repro.analysis.streaming import SessionTableFold, fold_log
 from repro.runtime import (
     DetailedBackend,
     FluidBackend,
@@ -19,7 +20,12 @@ from repro.runtime import (
     run_scenario,
     sample_workload,
 )
-from repro.workload.scenarios import steady_audience, uniform_ramp
+from repro.telemetry.reports import LeaveReason
+from repro.workload.scenarios import (
+    evening_broadcast,
+    steady_audience,
+    uniform_ramp,
+)
 
 
 def small_scenario(**kw):
@@ -148,3 +154,45 @@ class TestRunScenario:
         assert r1.log.dumps() == r2.log.dumps()
 
 
+
+
+def success_fraction_from_log(log) -> float:
+    """Fraction of logged users with any session reaching playback, read
+    off the log's session table (the oracle for the fluid engine's own
+    count)."""
+    (table,) = fold_log(log, SessionTableFold())
+    by_user = table.sessions_per_user()
+    if not by_user:
+        return float("nan")
+    ok = sum(
+        1 for sessions in by_user.values()
+        if any(s.started_playback for s in sessions)
+    )
+    return ok / len(by_user)
+
+
+class TestFluidSuccessFraction:
+    """The fluid backend counts spawned and playing users itself; the
+    log-derived fraction it used to fold for is the oracle."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_log_derived_fraction(self, seed):
+        scenario = evening_broadcast(horizon_s=900.0, peak_rate=1.0)
+        res = run_scenario(scenario, seed=seed, engine="fast")
+        got = res.metrics()["success_fraction"]
+        assert got == success_fraction_from_log(res.log)
+        # the run exercises every path the count must get right
+        (table,) = fold_log(res.log, SessionTableFold())
+        by_user = table.sessions_per_user()
+        assert len(table) > len(by_user)  # retries
+        assert any(  # a user who played, stalled out and played again
+            sum(s.started_playback for s in sessions) > 1
+            for sessions in by_user.values())
+        assert any(s.leave_reason is LeaveReason.PROGRAM_END
+                   for s in table.sessions())
+        assert got < 1.0
+
+    def test_nan_before_anyone_spawns(self):
+        backend = build_backend(small_scenario(), seed=0, engine="fast")
+        assert np.isnan(backend.snapshot_metrics()["success_fraction"])
+        assert np.isnan(success_fraction_from_log(backend.log))
