@@ -10,8 +10,9 @@ that substrate:
   (direct-connect, UPnP, NAT, firewall) and the partnership-direction rule.
 * :class:`CapacityModel` -- heterogeneous upload/download capacity sampling.
 * :class:`LatencyModel` -- pairwise propagation delay.
-* :class:`FairShareAllocator` -- max-min fair division of a parent's upload
-  among child connections, the quantity that drives Eqs. (3)-(6).
+* :func:`waterfill` / :func:`waterfill_rates` -- max-min fair division of a
+  parent's upload among child connections, the quantity that drives
+  Eqs. (3)-(6).
 """
 
 from repro.network.connectivity import (
@@ -22,7 +23,7 @@ from repro.network.connectivity import (
 )
 from repro.network.capacity import CapacityModel, CapacityProfile
 from repro.network.latency import LatencyModel
-from repro.network.fairshare import FairShareAllocator, waterfill, waterfill_rates
+from repro.network.fairshare import waterfill, waterfill_rates
 
 __all__ = [
     "ConnectivityClass",
@@ -32,7 +33,6 @@ __all__ = [
     "CapacityModel",
     "CapacityProfile",
     "LatencyModel",
-    "FairShareAllocator",
     "waterfill",
     "waterfill_rates",
 ]

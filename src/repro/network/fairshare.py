@@ -20,7 +20,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["waterfill", "waterfill_rates", "FairShareAllocator"]
+__all__ = ["waterfill", "waterfill_rates"]
 
 # Below this size the pure-Python fill beats the numpy call overhead (the
 # common case is a handful of child connections per parent).
@@ -176,63 +176,3 @@ def waterfill(capacity: float, demands: Sequence[float]) -> np.ndarray:
     if d.size == 0:
         return np.zeros(0)
     return _waterfill_np(capacity, d)
-
-
-class FairShareAllocator:
-    """Stateful wrapper used by the reference engine.
-
-    Tracks, per parent, the set of child connections and their demands, and
-    recomputes allocations only when membership or demands change -- rate
-    recomputation is the hot path during flash crowds.
-    """
-
-    def __init__(self, capacity: float) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        self._capacity = float(capacity)
-        self._demands: dict[object, float] = {}
-        self._alloc: dict[object, float] = {}
-        self._dirty = False
-
-    @property
-    def capacity(self) -> float:
-        """Maximum entries held."""
-        return self._capacity
-
-    @property
-    def n_connections(self) -> int:
-        """Number of tracked connections."""
-        return len(self._demands)
-
-    def set_demand(self, key: object, demand: float) -> None:
-        """Add or update a connection's demand."""
-        if demand < 0:
-            raise ValueError("demand must be non-negative")
-        if self._demands.get(key) != demand:
-            self._demands[key] = float(demand)
-            self._dirty = True
-
-    def remove(self, key: object) -> None:
-        """Drop a connection.  Missing keys are ignored (idempotent teardown)."""
-        if self._demands.pop(key, None) is not None:
-            self._alloc.pop(key, None)
-            self._dirty = True
-
-    def allocation(self, key: object) -> float:
-        """Current fair-share rate for ``key`` (0 if unknown)."""
-        self._recompute()
-        return self._alloc.get(key, 0.0)
-
-    def allocations(self) -> dict[object, float]:
-        """Snapshot of all current allocations."""
-        self._recompute()
-        return dict(self._alloc)
-
-    def _recompute(self) -> None:
-        if not self._dirty:
-            return
-        keys = list(self._demands.keys())
-        demands = [self._demands[k] for k in keys]
-        alloc = waterfill_rates(self._capacity, demands)
-        self._alloc = dict(zip(keys, alloc))
-        self._dirty = False

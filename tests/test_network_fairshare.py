@@ -1,4 +1,4 @@
-"""Unit and property tests for the max-min fair-share allocator."""
+"""Unit and property tests for the max-min fair-share water-fill."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.network.fairshare import (
     _SMALL_N,
     _waterfill_np,
     _waterfill_py,
-    FairShareAllocator,
     waterfill,
     waterfill_rates,
 )
@@ -106,59 +105,6 @@ class TestWaterfill:
         if unsat.any():
             floor = alloc[unsat].min()
             assert (alloc <= floor + 1e-6).all()
-
-
-class TestAllocator:
-    def test_allocation_unknown_key_is_zero(self):
-        assert FairShareAllocator(10.0).allocation("nope") == 0.0
-
-    def test_single_connection_gets_min_of_demand_and_capacity(self):
-        alloc = FairShareAllocator(10.0)
-        alloc.set_demand("a", 4.0)
-        assert alloc.allocation("a") == 4.0
-        alloc.set_demand("b", 100.0)
-        assert alloc.allocation("b") == 6.0
-
-    def test_remove_frees_capacity(self):
-        alloc = FairShareAllocator(10.0)
-        alloc.set_demand("a", 100.0)
-        alloc.set_demand("b", 100.0)
-        assert alloc.allocation("a") == 5.0
-        alloc.remove("b")
-        assert alloc.allocation("a") == 10.0
-
-    def test_remove_missing_is_noop(self):
-        FairShareAllocator(1.0).remove("ghost")
-
-    def test_update_demand_recomputes(self):
-        alloc = FairShareAllocator(10.0)
-        alloc.set_demand("a", 100.0)
-        alloc.set_demand("b", 2.0)
-        assert np.isclose(alloc.allocation("a"), 8.0)
-        alloc.set_demand("b", 100.0)
-        assert np.isclose(alloc.allocation("a"), 5.0)
-
-    def test_allocations_snapshot(self):
-        alloc = FairShareAllocator(6.0)
-        alloc.set_demand("a", 100.0)
-        alloc.set_demand("b", 100.0)
-        snap = alloc.allocations()
-        assert set(snap) == {"a", "b"}
-        assert np.isclose(sum(snap.values()), 6.0)
-
-    def test_negative_demand_rejected(self):
-        with pytest.raises(ValueError):
-            FairShareAllocator(1.0).set_demand("a", -1.0)
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            FairShareAllocator(-5.0)
-
-    def test_n_connections(self):
-        alloc = FairShareAllocator(1.0)
-        alloc.set_demand("a", 1.0)
-        alloc.set_demand("b", 1.0)
-        assert alloc.n_connections == 2
 
 
 class TestWaterfillFastPathEquivalence:
