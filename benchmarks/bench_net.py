@@ -54,10 +54,10 @@ def _scenario():
                         n_servers=2, cfg=cfg)
 
 
-def _blocks_delivered(system) -> int:
-    """Contiguously received blocks summed over all user peers."""
+def _blocks_delivered(sessions) -> int:
+    """Contiguously received blocks summed over every user session."""
     total = 0
-    for peer in system.peers(alive_only=False):
+    for peer in sessions:
         if peer.start_index is None:
             continue
         total += sum(h - peer.start_index + 1 for h in peer.heads)
@@ -65,26 +65,38 @@ def _blocks_delivered(system) -> int:
 
 
 def _run_net(scenario):
+    """Run the deployment; return the backend and every user session it
+    spawned (a departed peer is gone from the registry, so a spawn hook
+    keeps the sessions for the blocks count)."""
     backend = NetBackend(scenario, seed=SEED,
                          net=NetConfig(time_scale=TIME_SCALE))
     workload = sample_workload(scenario, SEED)
     backend.apply_workload(workload.times, workload.durations)
     for time_s, prob in workload.endings:
         backend.add_program_ending(time_s, prob)
+    sessions = []
+    spawn_peer = backend.system.spawn_peer
+
+    def recording_spawn(**kwargs):
+        node = spawn_peer(**kwargs)
+        sessions.append(node)
+        return node
+
+    backend.system.spawn_peer = recording_spawn
     backend.run(scenario.horizon_s)
-    return backend
+    return backend, sessions
 
 
 def test_net_deployment_throughput(benchmark):
     """16-node localhost deployment: blocks, messages/s, continuity."""
     scenario = _scenario()
     t0 = perf_counter()
-    backend = benchmark.pedantic(_run_net, args=(scenario,),
-                                 rounds=1, iterations=1)
+    backend, sessions = benchmark.pedantic(_run_net, args=(scenario,),
+                                           rounds=1, iterations=1)
     wall = perf_counter() - t0
     metrics = backend.snapshot_metrics()
     messages = int(metrics["net.messages_sent"])
-    blocks = _blocks_delivered(backend.system)
+    blocks = _blocks_delivered(sessions)
     assert messages > 0
     assert blocks > 0
     assert metrics["net.frames_rejected"] == 0

@@ -1,8 +1,11 @@
 """Whole-system wiring: engine + source + servers + bootstrap + peers.
 
-:class:`CoolstreamingSystem` owns the simulation kernel, the network
-substrate, the telemetry server and the node registry, and provides the
-latency-scheduled RPC fabric over which nodes talk.
+:class:`PeerHost` is the host half every deployment shares: the node
+registry, the id and session counters, ``spawn_peer``'s draws, the
+freeing of departed peers and the live views.  :class:`CoolstreamingSystem`
+adds the simulated rest -- source, dedicated servers, boot-strap node and
+the latency-scheduled RPC fabric over which nodes talk; the socket
+backend's :class:`~repro.net.system.NetSystem` adds sockets instead.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from repro.sim.rng import RngHub
 from repro.telemetry.reporter import NodeReporter
 from repro.telemetry.server import LogServer
 
-__all__ = ["CoolstreamingSystem", "NullReporter"]
+__all__ = ["CoolstreamingSystem", "NullReporter", "PeerHost"]
 
 
 class NullReporter:
@@ -58,31 +61,30 @@ class NullReporter:
         pass
 
 
-class CoolstreamingSystem:
-    """A complete Coolstreaming deployment on one simulation engine.
+class PeerHost:
+    """The host half of a deployment: registry, spawning, live views.
 
-    Parameters
-    ----------
-    cfg:
-        Protocol and deployment parameters (Table I and friends).
-    seed:
-        Root seed for every random stream in the run.
-    capacity_model, latency_model, connectivity_mix:
-        Network substrate; defaults follow DESIGN.md's 2006 calibration.
-    log_server:
-        Destination for telemetry; a fresh one is created when omitted.
+    It owns the node registry and the id and session counters, spawns
+    sessions with the ``population`` stream's draws, and frees a departed
+    peer once its counters are folded into the every-session totals.  A
+    subclass supplies the fabric -- ``rpc(src, dst, method, *args)`` and
+    ``make_reporter(node)`` -- and may swap :attr:`peer_class` and
+    :meth:`_start_peer`, which is all that differs between the simulator
+    and the socket deployment.
     """
+
+    #: the session class :meth:`spawn_peer` builds
+    peer_class = PeerNode
 
     def __init__(
         self,
-        cfg: Optional[SystemConfig] = None,
+        cfg: Optional[SystemConfig],
         *,
-        seed: int = 0,
+        seed: int,
+        latency,
         capacity_model: Optional[CapacityModel] = None,
-        latency_model: Optional[LatencyModel] = None,
         connectivity_mix: Optional[ConnectivityMix] = None,
         log_server: Optional[LogServer] = None,
-        start_servers: bool = True,
         engine: Optional[Engine] = None,
         rng: Optional[RngHub] = None,
         node_id_base: int = 1000,
@@ -95,7 +97,7 @@ class CoolstreamingSystem:
         self.engine = engine if engine is not None else Engine()
         self.rng = rng if rng is not None else RngHub(seed)
         self.geometry = StreamGeometry(self.cfg.n_substreams)
-        self.latency = latency_model or LatencyModel()
+        self.latency = latency
         self.capacity = capacity_model or CapacityModel()
         self.mix = connectivity_mix or ConnectivityMix()
         self.log = log_server or LogServer()
@@ -124,71 +126,15 @@ class CoolstreamingSystem:
         self._left_adaptations = 0
         self._left_pull_requests = 0
         self._left_parents = 0
-
-        # log-server uplink latency endpoint
-        self.latency.register(LOGSERVER_ID, self.rng.stream("latency"))
-
-        self.bootstrap = BootstrapNode(self)
-        self.source = SourceNode(self)
-        self._nodes[SOURCE_ID] = self.source
-        self.servers: List[DedicatedServer] = []
-        if start_servers:
-            for i in range(self.cfg.n_servers):
-                # servers sit just below the peer id range so they stay
-                # disjoint across co-hosted channels too
-                server = DedicatedServer(self, node_id=node_id_base - 1000 + i + 1)
-                self._nodes[server.node_id] = server
-                self.servers.append(server)
-                server.start()
+        self.servers: List[PeerNode] = []
 
     # ------------------------------------------------------------------
-    # registry & RPC fabric
+    # registry & population management
     # ------------------------------------------------------------------
     def get_node(self, node_id: int):
         """Node object by id (None when unknown)."""
         return self._nodes.get(node_id)
 
-    def rpc(self, src_id: int, dst_id: int, method: str, *args) -> None:
-        """Invoke ``method`` on the destination node after one propagation
-        delay.  Dropped silently if the destination is gone by then."""
-        try:
-            delay = self.latency.delay(src_id, dst_id)
-        except KeyError:
-            delay = self.latency.base_s
-
-        def dispatch() -> None:
-            """Deliver the RPC if the destination is still alive."""
-            node = self._nodes.get(dst_id)
-            if node is None or not getattr(node, "alive", False):
-                return
-            fn = getattr(node, method, None)
-            if fn is not None:
-                fn(*args)
-
-        self.engine.schedule(delay, dispatch)
-
-    def make_reporter(self, node: PeerNode):
-        """Build the telemetry agent for a node."""
-        if node.is_server:
-            return NullReporter()
-        try:
-            uplink = self.latency.delay(node.node_id, LOGSERVER_ID)
-        except KeyError:
-            uplink = 0.05
-        return NodeReporter(
-            self.engine,
-            self.log,
-            node_id=node.node_id,
-            user_id=node.user_id,
-            session_id=node.session_id,
-            uplink_delay_s=uplink,
-            status_period_s=self.cfg.status_report_period_s,
-            address_public=node.connectivity.has_public_address,
-        )
-
-    # ------------------------------------------------------------------
-    # population management
-    # ------------------------------------------------------------------
     def spawn_peer(
         self,
         *,
@@ -207,7 +153,7 @@ class CoolstreamingSystem:
         self._next_node_id += 1
         session_id = self._next_session_id
         self._next_session_id += 1
-        node = PeerNode(
+        node = self.peer_class(
             self,
             node_id=node_id,
             user_id=user_id,
@@ -218,8 +164,13 @@ class CoolstreamingSystem:
         )
         self._nodes[node_id] = node
         self.sessions_spawned += 1
-        node.start()
+        self._start_peer(node)
         return node
+
+    def _start_peer(self, node: PeerNode) -> None:
+        """Bring a spawned session up (registered already, so its join
+        can reach it)."""
+        node.start()
 
     def on_node_left(self, node: PeerNode) -> None:
         """Callback from a leaving node: free everything the system holds
@@ -311,13 +262,9 @@ class CoolstreamingSystem:
                         edges.append((parent, node.node_id, sub))
         return edges
 
-    def run(self, until: float) -> None:
-        """Advance the simulation to absolute time ``until``."""
-        self.engine.run(until=until)
-
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, float]:
-        """Quick aggregate health snapshot (simulator-side, not from logs)."""
+        """Quick aggregate health snapshot (host-side, not from logs)."""
         peers = self.peers()
         playing = [p for p in peers if p.state is NodeState.PLAYING]
         cont = [
@@ -331,3 +278,99 @@ class CoolstreamingSystem:
             "sessions_spawned": float(self.sessions_spawned),
             "log_entries": float(len(self.log)),
         }
+
+
+class CoolstreamingSystem(PeerHost):
+    """A complete Coolstreaming deployment on one simulation engine.
+
+    Parameters
+    ----------
+    cfg:
+        Protocol and deployment parameters (Table I and friends).
+    seed:
+        Root seed for every random stream in the run.
+    capacity_model, latency_model, connectivity_mix:
+        Network substrate; defaults follow DESIGN.md's 2006 calibration.
+    log_server:
+        Destination for telemetry; a fresh one is created when omitted.
+    """
+
+    def __init__(
+        self,
+        cfg: Optional[SystemConfig] = None,
+        *,
+        seed: int = 0,
+        capacity_model: Optional[CapacityModel] = None,
+        latency_model: Optional[LatencyModel] = None,
+        connectivity_mix: Optional[ConnectivityMix] = None,
+        log_server: Optional[LogServer] = None,
+        start_servers: bool = True,
+        engine: Optional[Engine] = None,
+        rng: Optional[RngHub] = None,
+        node_id_base: int = 1000,
+        session_id_base: int = 1,
+    ) -> None:
+        super().__init__(
+            cfg, seed=seed, latency=latency_model or LatencyModel(),
+            capacity_model=capacity_model, connectivity_mix=connectivity_mix,
+            log_server=log_server, engine=engine, rng=rng,
+            node_id_base=node_id_base, session_id_base=session_id_base)
+        # log-server uplink latency endpoint
+        self.latency.register(LOGSERVER_ID, self.rng.stream("latency"))
+
+        self.bootstrap = BootstrapNode(self)
+        self.source = SourceNode(self)
+        self._nodes[SOURCE_ID] = self.source
+        if start_servers:
+            for i in range(self.cfg.n_servers):
+                # servers sit just below the peer id range so they stay
+                # disjoint across co-hosted channels too
+                server = DedicatedServer(self, node_id=node_id_base - 1000 + i + 1)
+                self._nodes[server.node_id] = server
+                self.servers.append(server)
+                server.start()
+
+    # ------------------------------------------------------------------
+    # RPC fabric & telemetry
+    # ------------------------------------------------------------------
+    def rpc(self, src_id: int, dst_id: int, method: str, *args) -> None:
+        """Invoke ``method`` on the destination node after one propagation
+        delay.  Dropped silently if the destination is gone by then."""
+        try:
+            delay = self.latency.delay(src_id, dst_id)
+        except KeyError:
+            delay = self.latency.base_s
+
+        def dispatch() -> None:
+            """Deliver the RPC if the destination is still alive."""
+            node = self._nodes.get(dst_id)
+            if node is None or not getattr(node, "alive", False):
+                return
+            fn = getattr(node, method, None)
+            if fn is not None:
+                fn(*args)
+
+        self.engine.schedule(delay, dispatch)
+
+    def make_reporter(self, node: PeerNode):
+        """Build the telemetry agent for a node."""
+        if node.is_server:
+            return NullReporter()
+        try:
+            uplink = self.latency.delay(node.node_id, LOGSERVER_ID)
+        except KeyError:
+            uplink = 0.05
+        return NodeReporter(
+            self.engine,
+            self.log,
+            node_id=node.node_id,
+            user_id=node.user_id,
+            session_id=node.session_id,
+            uplink_delay_s=uplink,
+            status_period_s=self.cfg.status_report_period_s,
+            address_public=node.connectivity.has_public_address,
+        )
+
+    def run(self, until: float) -> None:
+        """Advance the simulation to absolute time ``until``."""
+        self.engine.run(until=until)

@@ -17,7 +17,7 @@ move:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import (
     Cdf,
@@ -28,7 +28,7 @@ from repro.analysis import (
 )
 from repro.core.config import SystemConfig
 from repro.experiments.render import FigureResult, render_table
-from repro.runtime import run_scenario
+from repro.runtime import RuntimeResult, run_scenario
 from repro.workload.scenarios import flash_crowd_storm, steady_audience
 
 __all__ = [
@@ -57,6 +57,15 @@ def run_variant(
     (mCache policy, delivery mode, offset rule) only exist there; the
     fluid engine is still available for the workload-level ones.
     """
+    return _variant_run(cfg, seed, burst_users_per_s, horizon_s, steady,
+                        engine)[0]
+
+
+def _variant_run(
+    cfg: SystemConfig, seed: int = 0, burst_users_per_s: float = 1.2,
+    horizon_s: float = 700.0, steady: bool = False, engine: str = "detailed",
+) -> Tuple[Dict[str, float], RuntimeResult]:
+    """:func:`run_variant`'s metrics, and the run they were read from."""
     if steady:
         scenario = steady_audience(rate_per_s=burst_users_per_s,
                                    horizon_s=horizon_s, n_servers=2, cfg=cfg)
@@ -83,7 +92,7 @@ def run_variant(
     else:
         out["ready_median_s"] = float("nan")
         out["ready_p90_s"] = float("nan")
-    return out
+    return out, res
 
 
 def _compare(
@@ -95,19 +104,26 @@ def _compare(
     metric_keys: Sequence[str] = (
         "ready_median_s", "ready_p90_s", "success_fraction", "continuity",
     ),
+    extra: Optional[Callable[[RuntimeResult], Dict[str, float]]] = None,
     **run_kwargs,
 ) -> FigureResult:
+    """One run per variant, tabulated over ``metric_keys``.  ``extra``
+    reads more key metrics off each run; they follow the table's."""
     result = FigureResult(figure_id, title)
     rows: List[tuple] = []
-    per_variant: Dict[str, Dict[str, float]] = {}
+    extras: Dict[str, float] = {}
     for name, cfg in variants.items():
-        metrics = run_variant(cfg, seed=seed, **run_kwargs)
-        per_variant[name] = metrics
+        metrics, res = _variant_run(cfg, seed=seed, **run_kwargs)
+        if extra is not None:
+            for k, value in extra(res).items():
+                extras[f"{name}.{k}"] = value
+        del res  # one run's system in memory at a time
         rows.append((name,) + tuple(
             f"{metrics[k]:.3f}" for k in metric_keys
         ))
         for k in metric_keys:
             result.metrics[f"{name}.{k}"] = metrics[k]
+    result.metrics.update(extras)
     result.add_block(render_table(("variant",) + tuple(metric_keys), rows))
     return result
 
@@ -185,7 +201,7 @@ def ablate_delivery_mode(*, seed: int = 0, engine: str = "detailed",
     ``burst_users_per_s`` and ``horizon_s`` size every flash crowd it runs.
     """
     base = SystemConfig(n_servers=2)
-    result = _compare(
+    return _compare(
         "Ablation A6", "Delivery discipline: sub-stream push vs block pull",
         {
             "push (paper)": base.with_overrides(delivery_mode="push"),
@@ -195,20 +211,23 @@ def ablate_delivery_mode(*, seed: int = 0, engine: str = "detailed",
         engine=engine,
         burst_users_per_s=burst_users_per_s,
         horizon_s=horizon_s,
+        extra=_data_control_msgs,
     )
-    # add the control-overhead comparison: pull requests vs subscriptions
-    for name, mode in (("push (paper)", "push"), ("pull (DONet)", "pull")):
-        scenario = flash_crowd_storm(
-            burst_users_per_s=burst_users_per_s, horizon_s=horizon_s,
-            n_servers=2, cfg=base.with_overrides(delivery_mode=mode),
-        )
-        system = run_scenario(scenario, seed=seed, engine="detailed").system
-        if mode == "pull":
-            msgs = system.pull_requests_sent
-        else:
-            msgs = system.adaptations + system.parents_held
-        result.metrics[f"{name}.data_control_msgs"] = float(msgs)
-    return result
+
+
+def _data_control_msgs(res: RuntimeResult) -> Dict[str, float]:
+    """The control-overhead comparison: pull requests against the
+    subscriptions push needs (adaptations plus parents held).  They are
+    counted on the detailed engine, so a run on another engine is
+    repeated there."""
+    if res.engine != "detailed":
+        res = run_scenario(res.scenario, seed=res.seed, engine="detailed")
+    system = res.system
+    if system.cfg.delivery_mode == "pull":
+        msgs = system.pull_requests_sent
+    else:
+        msgs = system.adaptations + system.parents_held
+    return {"data_control_msgs": float(msgs)}
 
 
 def ablate_substreams(*, seed: int = 0, engine: str = "detailed",

@@ -283,8 +283,6 @@ class NetBackend:
         }
         if self.population is not None:
             out["success_fraction"] = self.population.success_fraction()
-            out["adaptations"] = float(sum(
-                p.adaptation_count for p in system.peers(alive_only=False)
-            ))
+            out["adaptations"] = float(system.adaptations)
         out.update(system.stats.as_dict())
         return out

@@ -38,14 +38,15 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RngHub
 from repro.telemetry.server import LogServer
 
-__all__ = ["NetCoordinator"]
+__all__ = ["NetCoordinator", "NullLatency"]
 
 
-class _NullLatency:
-    """Latency registrar stand-in for the embedded protocol objects."""
+class NullLatency:
+    """Latency-model stand-in for the coordinator's embedded protocol
+    objects and the peers' host: the real network provides the delays."""
 
     def register(self, node_id: int, rng) -> None:
-        """No-op."""
+        """No-op (sockets do not need registered endpoints)."""
 
     def unregister(self, node_id: int) -> None:
         """No-op."""
@@ -91,7 +92,7 @@ class _CoordSystem:
         self.engine = engine
         self.rng = rng
         self.geometry = geometry
-        self.latency = _NullLatency()
+        self.latency = NullLatency()
         self._stubs: Dict[int, _ServerStub] = {}
 
     def get_node(self, node_id: int):

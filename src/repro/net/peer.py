@@ -124,8 +124,9 @@ class NetPeer(PeerNode):
         EOF or BM silence, and the final status window never reaches the
         log, exactly like the deployed system.  A graceful leave sends
         the inherited notifications, then closes peer links; the
-        coordinator link stays open so the engine-delayed LEAVE report
-        frames still ship (backend teardown reaps it).
+        coordinator link stays open until the engine-delayed LEAVE report
+        frame has shipped (:class:`~repro.net.system.RemoteLogProxy`
+        closes it behind that frame).
         """
         if self.state is NodeState.LEFT:
             return

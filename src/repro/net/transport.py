@@ -318,8 +318,11 @@ class PeerTransport:
     # --- teardown -----------------------------------------------------
     def close(self, *, abort: bool = False) -> None:
         """Close the listener and every link.  ``abort`` models a crash:
-        read loops are cancelled so no goodbye of any kind escapes."""
+        read loops are cancelled so no goodbye of any kind escapes.  The
+        owner's handlers, never called again, are dropped: a link still
+        draining holds no departed node."""
         self.closed = True
+        self._on_message = self._on_link_lost = lambda *_: None
         for task in list(self._dialing.values()):
             task.cancel()
         self._dialing.clear()

@@ -148,7 +148,8 @@ class NodeReporter:
         self.reports_sent += 1
         arrival = self._engine.now + self._delay
         self._engine.schedule(
-            self._delay, lambda r=report, t=arrival: self._server.receive_report(t, r)
+            self._delay,
+            lambda r=report, t=arrival, s=self._server: s.receive_report(t, r)
         )
 
     # --- teardown -----------------------------------------------------------------
@@ -157,9 +158,11 @@ class NodeReporter:
         status cadence stops and nothing further is sent, so whatever the
         node experienced since the last 5-minute report is lost to the
         measurement -- by design.  The status provider (the node's bound
-        method) is dropped, so a closed reporter holds no node."""
+        method) and the server are dropped (reports already in flight
+        carry their own), so a closed reporter holds no node."""
         self._closed = True
         self._status_provider = None
+        self._server = None
         if self._task is not None:
             self._task.stop()
             self._task = None

@@ -41,6 +41,7 @@ class _Viewer:
     attempts: int = 0
     zaps: int = 0
     channel: int = -1
+    #: the live session's node; None between sessions and once done
     node: Optional[PeerNode] = None
     done: bool = False
 
@@ -104,16 +105,22 @@ class ChannelAudience:
                                  attempt=viewer.attempts)
         node.on_session_end = lambda n, v=viewer: self._session_ended(v, n)
         viewer.node = node
-        # schedule the zap-or-stay decision and the final departure
+        # schedule the zap-or-stay decision and the final departure; the
+        # events name the session, not the node, so they do not keep a
+        # departed node alive
         self.engine.schedule(
-            self.zap_after_s, lambda v=viewer, n=node: self._maybe_zap(v, n)
+            self.zap_after_s,
+            lambda v=viewer, s=node.session_id: self._maybe_zap(v, s)
         )
         self.engine.schedule_at(
-            viewer.deadline, lambda v=viewer, n=node: self._depart(v, n)
+            viewer.deadline,
+            lambda v=viewer, s=node.session_id: self._depart(v, s)
         )
 
-    def _maybe_zap(self, viewer: _Viewer, node: PeerNode) -> None:
-        if viewer.done or viewer.node is not node or not node.alive:
+    def _maybe_zap(self, viewer: _Viewer, session_id: int) -> None:
+        node = viewer.node
+        if (viewer.done or node is None or node.session_id != session_id
+                or not node.alive):
             return
         if self.deployment.n_channels < 2:
             return
@@ -123,17 +130,21 @@ class ChannelAudience:
             target = self._pick_channel(exclude=viewer.channel)
             node.on_session_end = None  # the zap handles the follow-up
             node.leave(LeaveReason.NORMAL)
+            viewer.node = None
             self._join(viewer, channel=target)
 
-    def _depart(self, viewer: _Viewer, node: PeerNode) -> None:
-        if viewer.node is not node or viewer.done:
+    def _depart(self, viewer: _Viewer, session_id: int) -> None:
+        node = viewer.node
+        if viewer.done or node is None or node.session_id != session_id:
             return
         viewer.done = True
         if node.alive:
             node.on_session_end = None
             node.leave(LeaveReason.NORMAL)
+        viewer.node = None
 
     def _session_ended(self, viewer: _Viewer, node: PeerNode) -> None:
+        viewer.node = None
         if viewer.done:
             return
         if node.outcome in (SessionOutcome.NORMAL, SessionOutcome.PROGRAM_END):

@@ -20,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.node import PeerNode, SessionOutcome
-from repro.core.system import CoolstreamingSystem
+from repro.core.system import PeerHost
 from repro.telemetry.reports import LeaveReason
 from repro.workload.sessions import ProgramSchedule, SessionDurationModel
 
@@ -47,7 +47,7 @@ class UserAgent:
 
     def __init__(
         self,
-        system: CoolstreamingSystem,
+        system: PeerHost,
         *,
         user_id: int,
         arrival_time: float,
@@ -163,7 +163,7 @@ class UserPopulation:
 
     def __init__(
         self,
-        system: CoolstreamingSystem,
+        system: PeerHost,
         *,
         arrival_times: np.ndarray,
         durations: Optional[np.ndarray] = None,

@@ -1,11 +1,14 @@
 """Memory follows the live audience: a departed peer is freed.
 
-When a ``detailed`` peer leaves, the system folds its counters into
-per-system totals, drops it from the registry and releases its random
-stream; the population's departure events name sessions, not nodes; and a
-stopped task or closed reporter drops the callbacks that tied the node to
-itself.  So nothing but the call stack holds a departed node, and it is
-freed by refcounting -- these tests run with the cyclic GC off to prove it.
+When a peer leaves, its host (``detailed``'s and ``net``'s alike) folds
+its counters into per-system totals, drops it from the registry and
+releases its random stream; the audiences' departure events name
+sessions, not nodes; a stopped task or closed reporter drops the
+callbacks that tied the node to itself; and on ``net`` a closed transport
+drops its owner's handlers and the coordinator link closes behind the
+last report.  So nothing but the call stack holds a departed node, and it
+is freed by refcounting -- these tests run with the cyclic GC off to
+prove it.
 """
 
 from __future__ import annotations
@@ -17,11 +20,18 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.core.node import SessionOutcome
+from repro.core.config import SystemConfig
+from repro.core.multichannel import MultiChannelDeployment
+from repro.core.node import PeerNode, SessionOutcome
 from repro.core.system import CoolstreamingSystem
+from repro.net.backend import NetBackend
+from repro.net.config import NetConfig
+from repro.runtime.driver import sample_workload
 from repro.sim.rng import RngDisciplineError, RngHub
 from repro.telemetry import sink as sink_module
 from repro.telemetry.reports import LeaveReason
+from repro.workload.scenarios import uniform_ramp
+from repro.workload.surfing import ChannelAudience
 from repro.workload.users import UserAgent, UserPopulation
 
 
@@ -195,3 +205,63 @@ class TestRngRelease:
         for node_id in range(1000, 1040):
             with pytest.raises(RngDisciplineError, match="released_stream"):
                 system.rng.stream(f"node.{node_id}")
+
+
+@pytest.mark.usefixtures("no_cyclic_gc")
+class TestEveryHostFreesItsPeers:
+    """``net`` and the multi-channel audience free departed peers too.
+
+    These run last: the steady-churn ratio above is measured in-process,
+    and the heap earlier tests leave behind moves its baseline."""
+
+    @pytest.mark.parametrize("silent", [False, True],
+                             ids=["graceful", "silent"])
+    def test_left_net_peer_is_unreachable(self, silent):
+        """On ``net`` too: the peer's sockets, its coordinator link and
+        their read tasks let go of it a few simulated seconds after it
+        leaves."""
+        cfg = SystemConfig().with_overrides(status_report_period_s=30.0)
+        scenario = uniform_ramp(n_users=6, horizon_s=120.0, n_servers=2,
+                                cfg=cfg)
+        backend = NetBackend(scenario, seed=0,
+                             net=NetConfig(time_scale=40.0))
+        workload = sample_workload(scenario, 0)
+        backend.apply_workload(workload.times, workload.durations)
+        left = {}
+
+        def leave_one(system):
+            victim = next((p for p in system.peers()
+                           if p.coord_link is not None and p.partners.ids()),
+                          None)
+            if victim is None:
+                return
+            left["id"] = victim.node_id
+            left["ref"] = weakref.ref(victim)
+            victim.leave(LeaveReason.NORMAL, silent=silent)
+
+        backend.at(40.0, leave_one)
+        try:
+            backend.run(45.0)
+            assert left, "no joined peer at t=40"
+            assert backend.system.get_node(left["id"]) is None
+            assert left["ref"]() is None
+        finally:
+            backend.close()
+
+    def test_a_zapping_audience_holds_only_live_peers(self):
+        """Three channels, 150 viewers arriving in the first minute, a
+        quarter zapping after 90 s (seed 11): at t=600 the heap holds
+        exactly the live peers and servers, 100 of them (it held 186 when
+        the viewers' events and ``viewer.node`` kept departed sessions)."""
+        dep = MultiChannelDeployment(3, SystemConfig(n_servers=2), seed=11)
+        times = np.sort(np.random.default_rng(11).uniform(0.0, 60.0, 150))
+        audience = ChannelAudience(dep, arrival_times=times,
+                                   zap_probability=0.25, zap_after_s=90.0)
+        dep.run(until=600.0)
+        held = {id(o) for o in gc.get_objects()
+                if isinstance(o, PeerNode) and o.system in dep.channels}
+        live = {id(n) for ch in dep.channels
+                for n in ch.all_streaming_nodes()}
+        assert audience.zap_count > 0
+        assert sum(ch.sessions_spawned for ch in dep.channels) > len(live)
+        assert held == live

@@ -100,9 +100,10 @@ class TestNetEndToEnd:
         victim_id, victim_partners = killed[0]
         system = backend.system
 
-        # the victim is gone and every surviving ex-partner noticed the
-        # dead TCP connection: nobody still lists it as a partner
-        assert not system.get_node(victim_id).alive
+        # the victim is gone (freed from the registry) and every surviving
+        # ex-partner noticed the dead TCP connection: nobody still lists it
+        # as a partner
+        assert system.get_node(victim_id) is None
         for node in system._nodes.values():
             if node.node_id != victim_id and node.alive:
                 assert victim_id not in node.partners.ids()
