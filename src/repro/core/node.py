@@ -314,13 +314,20 @@ class PeerNode:
         payload = self.mcache.gossip_payload(
             self.cfg.gossip_fanout, self._rng, self_entry=self.self_entry()
         )
-        peer = self.system.get_node(target)
-        if peer is not None and peer.alive:
-            peer.rpc_gossip(self.node_id, payload)
+        if self._send_gossip(target, payload):
             ctx = _obs_context.current()
             if ctx is not None:
                 ctx.registry.counter("core.gossip_messages").inc()
                 ctx.registry.counter("core.gossip_entries").inc(len(payload))
+
+    def _send_gossip(self, target: int, payload: List[MCacheEntry]) -> bool:
+        """Hand one gossip payload to partner ``target``; False when it is
+        gone.  The transport's one gossip hook."""
+        peer = self.system.get_node(target)
+        if peer is None or not peer.alive:
+            return False
+        peer.rpc_gossip(self.node_id, payload)
+        return True
 
     # ------------------------------------------------------------------
     # partnership establishment

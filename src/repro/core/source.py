@@ -149,17 +149,23 @@ class DedicatedServer(PeerNode):
         self.state = NodeState.PLAYING  # servers are always "up"; no buffering
         self.system.latency.register(self.node_id, self.system.rng.stream("latency"))
         self.system.bootstrap.register(self.self_entry())
-        # full stream from the origin
-        k = self.cfg.n_substreams
+        # full stream from the origin, from its live edge
         source = self.system.source
         start = max(0, min(source.heads))
+        for sub in range(self.cfg.n_substreams):
+            source.rpc_subscribe(self.node_id, sub, start)
+        self._attach_to_origin(start)
+
+    def _attach_to_origin(self, start: int) -> None:
+        """Relay every sub-stream from the origin, beginning at local block
+        ``start`` (the origin already pushes to us from there)."""
+        k = self.cfg.n_substreams
         self.start_index = start
         self.sync = [SyncBuffer(start) for _ in range(k)]
         self.heads = [start - 1] * k
         self.playback = None  # servers do not play back
         for sub in range(k):
             self.parents[sub] = SOURCE_ID
-            source.rpc_subscribe(self.node_id, sub, start)
         self._start_tasks()
 
     def _control_tick(self) -> None:  # pragma: no cover - thin override

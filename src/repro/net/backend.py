@@ -1,14 +1,18 @@
 """``NetBackend``: the ``StreamingBackend`` contract over real sockets.
 
-The backend owns one deployment: a private asyncio event loop hosting
-the coordinator plus every peer's sockets, a
-:class:`~repro.net.clock.VirtualClock` mapping the host clock onto the
-scenario's virtual timeline, and the *pump* that fires due virtual-time
-events (the reused protocol code's ``PeriodicTask``/delayed callbacks)
-between I/O.  ``run(until)`` resumes the clock, interleaves engine pumps
-with socket traffic until virtual time reaches ``until``, then pauses,
-drains in-flight frames and hands back -- so the driver, parity harness
-and campaign runner treat ``engine="net"`` exactly like the simulators.
+:class:`NetBackend` is :class:`~repro.runtime.backends.DetailedBackend`
+with the transport swapped: workload staging, the audience's
+materialisation, ``log`` and the ground-truth metrics are inherited;
+running the deployment and tearing it down are its own.  It owns a
+private asyncio event loop hosting the coordinator plus every peer's
+sockets, a :class:`~repro.net.clock.VirtualClock` mapping the host clock
+onto the scenario's virtual timeline, and the *pump* that fires due
+virtual-time events (the reused protocol code's ``PeriodicTask``/delayed
+callbacks) between I/O.  ``run(until)`` resumes the clock, interleaves
+engine pumps with socket traffic until virtual time reaches ``until``,
+then pauses, drains in-flight frames and hands back -- so the driver,
+parity harness and campaign runner treat ``engine="net"`` exactly like
+the simulators.
 
 Startup failures (a fixed coordinator port already bound, servers unable
 to reach the coordinator) raise
@@ -20,31 +24,29 @@ from __future__ import annotations
 
 import asyncio
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Dict, Optional
 
 from repro.net.clock import VirtualClock
 from repro.net.config import NetConfig
 from repro.net.coordinator import NetCoordinator
 from repro.net.peer import NetServer
 from repro.net.system import NetSystem
-from repro.runtime.backends import BackendStartupError
-from repro.telemetry.server import LogServer
+from repro.runtime.backends import BackendStartupError, DetailedBackend
 from repro.telemetry.sink import MemorySink
-from repro.workload.sessions import ProgramSchedule
-from repro.workload.users import UserPopulation
 
 __all__ = ["NetBackend"]
 
 
-class NetBackend:
+class NetBackend(DetailedBackend):
     """Real-network engine behind the :class:`StreamingBackend` contract.
 
-    Construction wires nothing network-visible; sockets come up inside
-    the first :meth:`run` (on the backend's private event loop), so the
-    staging lifecycle -- ``apply_workload`` then any number of
-    ``add_program_ending`` calls -- matches ``DetailedBackend``.
+    :class:`~repro.runtime.backends.DetailedBackend` with the transport
+    swapped: the workload staging (``apply_workload`` then any number of
+    ``add_program_ending`` calls), the audience's materialisation, ``log``
+    and the ground-truth metrics are the detailed engine's.  What differs
+    is how the deployment runs -- sockets come up inside the first
+    :meth:`run`, on the backend's private event loop -- and that
+    :meth:`snapshot_metrics` adds the transport counters.
 
     Pass ``net=NetConfig(...)`` to pin ports, change the virtual-time
     scale or tighten timeouts; the default binds everything to ephemeral
@@ -55,45 +57,26 @@ class NetBackend:
 
     def __init__(self, scenario, seed: int = 0, *,
                  net: Optional[NetConfig] = None) -> None:
-        self.scenario = scenario
-        self.seed = int(seed)
         self.net = net if net is not None else NetConfig()
-        self.system = NetSystem(
+        super().__init__(scenario, seed)
+        self.clock = VirtualClock(self.net.time_scale)
+        self.coordinator: Optional[NetCoordinator] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._started = False
+        self._closed = False
+        self._run_until: Optional[float] = None
+
+    def _build_system(self) -> NetSystem:
+        scenario = self.scenario
+        return NetSystem(
             scenario.cfg,
             seed=self.seed,
             net=self.net,
             capacity_model=scenario.capacity_model,
             connectivity_mix=scenario.connectivity_mix,
         )
-        self.clock = VirtualClock(self.net.time_scale)
-        self.coordinator: Optional[NetCoordinator] = None
-        self.population: Optional[UserPopulation] = None
-        self._times: Optional[np.ndarray] = None
-        self._durations: Optional[np.ndarray] = None
-        self._endings: List[Tuple[float, float]] = []
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._started = False
-        self._closed = False
-        self._run_until: Optional[float] = None
 
-    # -- workload ------------------------------------------------------
-    def apply_workload(self, times: np.ndarray, durations: np.ndarray) -> None:
-        """Stage the audience (deployed on the first :meth:`run`)."""
-        if self._times is not None:
-            raise RuntimeError("workload already applied")
-        times = np.asarray(times, dtype=float)
-        durations = np.asarray(durations, dtype=float)
-        if times.shape != durations.shape:
-            raise ValueError("times and durations must align")
-        self._times = times
-        self._durations = durations
-
-    def add_program_ending(self, time_s: float, leave_probability: float) -> None:
-        """Stage a program-end wave (must precede the first :meth:`run`)."""
-        if self.population is not None:
-            raise RuntimeError("cannot add program endings after run()")
-        self._endings.append((float(time_s), float(leave_probability)))
-
+    # -- execution -----------------------------------------------------
     def at(self, time_s: float, callback: Callable[[NetSystem], None]) -> None:
         """Run ``callback(system)`` at virtual time ``time_s``.
 
@@ -102,7 +85,6 @@ class NetBackend:
         self.system.engine.schedule_at(
             float(time_s), lambda: callback(self.system))
 
-    # -- execution -----------------------------------------------------
     def run(self, until: float) -> None:
         """Advance the deployment to virtual time ``until``.
 
@@ -181,18 +163,7 @@ class NetBackend:
                 f"at {coordinator.address} within {startup_wall:.0f}s"
             ) from exc
 
-        if self._times is None:
-            raise RuntimeError("apply_workload() must be called before run()")
-        schedule = ProgramSchedule(endings=tuple(sorted(self._endings)))
-        self.population = UserPopulation(
-            system,
-            arrival_times=self._times,
-            durations=self._durations,
-            duration_model=self.scenario.duration_model,
-            schedule=schedule,
-            silent_leave_prob=self.scenario.silent_leave_prob,
-        )
-        self.population.attach()
+        self.materialize()
 
     def _pump(self) -> None:
         """Fire due virtual-time events.  Reentrancy-guarded: callers
@@ -248,9 +219,7 @@ class NetBackend:
 
         async def _teardown() -> None:
             for node in list(self.system._nodes.values()):
-                close_sockets = getattr(node, "close_sockets", None)
-                if close_sockets is not None:
-                    close_sockets()
+                node.close_sockets()
             if self.coordinator is not None:
                 self.coordinator.close()
             await asyncio.sleep(0)
@@ -266,23 +235,8 @@ class NetBackend:
         self._loop = None
 
     # -- views ---------------------------------------------------------
-    @property
-    def log(self) -> LogServer:
-        """The coordinator-collected telemetry log."""
-        return self.system.log
-
     def snapshot_metrics(self) -> Dict[str, float]:
-        """Deployment-side ground truth plus transport counters."""
-        system = self.system
-        summary = system.summary()
-        out: Dict[str, float] = {
-            "concurrent_users": float(system.concurrent_users),
-            "playing_users": float(summary["playing"]),
-            "sessions_spawned": float(system.sessions_spawned),
-            "mean_continuity": float(summary["mean_continuity"]),
-        }
-        if self.population is not None:
-            out["success_fraction"] = self.population.success_fraction()
-            out["adaptations"] = float(system.adaptations)
-        out.update(system.stats.as_dict())
+        """The detailed engine's ground truth plus transport counters."""
+        out = super().snapshot_metrics()
+        out.update(self.system.stats.as_dict())
         return out

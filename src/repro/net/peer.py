@@ -1,13 +1,20 @@
 """Network peers: the reference protocol objects over real sockets.
 
 :class:`NetPeer` subclasses :class:`~repro.core.node.PeerNode` and
-overrides *only* the transport touchpoints -- where the simulator pokes a
-peer object directly (gossip, BM broadcast, block push) or goes through
-the latency-scheduled RPC fabric (partnership, subscription, pull).
-Everything that makes the protocol the paper's protocol -- offset choice,
-adaptation Inequalities (1)/(2), join patience, the stall watchdog, the
-water-filled upload scheduler, telemetry cadence -- is inherited
-unchanged and exercised over TCP.
+overrides *only* the transport touchpoints: ``send_rpc`` (the RPC fabric
+becomes frames), ``_send_gossip`` (the one send of ``PeerNode._gossip``,
+whose target and payload draws stay the base class's), BM broadcast,
+block push and partner drop (which also drops the link), and ``leave``
+(sockets mirror the departure style).  Everything that makes the protocol
+the paper's protocol -- offset choice, adaptation Inequalities (1)/(2),
+join patience, the stall watchdog, the water-filled upload scheduler,
+telemetry cadence -- is inherited unchanged and exercised over TCP.
+
+:class:`NetServer` is :class:`~repro.core.source.DedicatedServer` on
+that transport; only its bring-up differs, because the origin lives in
+the coordinator: it registers, then attaches to the origin at the live
+edge the coordinator's REGISTER_OK names, and takes BLOCKS frames from
+the registration link.
 
 The frame dispatch below is the inverse mapping: an incoming wire
 message decodes its fields and calls the *inherited* ``rpc_*`` handler,
@@ -20,9 +27,8 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.buffer import SyncBuffer
 from repro.core.node import NodeState, PeerNode
-from repro.core.source import SOURCE_ID
+from repro.core.source import SOURCE_ID, DedicatedServer
 from repro.net.codec import (
     CodecError,
     MsgType,
@@ -34,8 +40,6 @@ from repro.net.codec import (
     encode_pull_requests,
 )
 from repro.net.transport import Link, PeerTransport, dial
-from repro.network.connectivity import ConnectivityClass
-from repro.obs import context as _obs_context
 from repro.obs import inc as _obs_inc
 from repro.telemetry.reports import LeaveReason
 
@@ -191,27 +195,13 @@ class NetPeer(PeerNode):
     # ------------------------------------------------------------------
     # transport-touchpoint overrides
     # ------------------------------------------------------------------
-    def _gossip(self) -> None:
-        # same target/payload draws as the base class (rng parity), but
+    def _send_gossip(self, target: int, payload: list) -> bool:
         # the payload travels as a GOSSIP frame carrying known addresses
-        partner_ids = self.partners.ids()
-        if not partner_ids:
-            return
-        target = partner_ids[int(self._rng.integers(len(partner_ids)))]
-        payload = self.mcache.gossip_payload(
-            self.cfg.gossip_fanout, self._rng, self_entry=self.self_entry()
-        )
         own_address = self.transport.address
-        objs = []
-        for entry in payload:
-            address = (own_address if entry.node_id == self.node_id
-                       else self.addresses.get(entry.node_id))
-            objs.append(encode_entry(entry, address))
-        if self.transport.send(target, MsgType.GOSSIP, {"entries": objs}):
-            ctx = _obs_context.current()
-            if ctx is not None:
-                ctx.registry.counter("core.gossip_messages").inc()
-                ctx.registry.counter("core.gossip_entries").inc(len(payload))
+        return self.transport.send(target, MsgType.GOSSIP, {"entries": [
+            encode_entry(entry, own_address if entry.node_id == self.node_id
+                         else self.addresses.get(entry.node_id))
+            for entry in payload]})
 
     def _broadcast_bm(self) -> None:
         encoded = encode_bm(self._own_bm())
@@ -296,7 +286,6 @@ class NetPeer(PeerNode):
                                        bm, entry)
             elif msg_type is MsgType.PARTNER_CLOSE:
                 self.rpc_partner_close(from_id)
-                self.transport.drop_link(from_id)
             elif msg_type is MsgType.SUBSCRIBE:
                 self.rpc_subscribe(from_id, int(payload["substream"]),
                                    int(payload["from_index"]))
@@ -364,32 +353,23 @@ class NetPeer(PeerNode):
             self.coord_link.cancel()
 
 
-class NetServer(NetPeer):
+class NetServer(DedicatedServer, NetPeer):
     """A dedicated streaming server over sockets.
 
-    Mirrors :class:`~repro.core.source.DedicatedServer`: server-class
-    connectivity and capacity, every sub-stream fed straight from the
-    origin (which lives in the coordinator and pushes BLOCKS frames down
-    the registration link), no playback, no patience, no departure.
+    :class:`~repro.core.source.DedicatedServer`'s behaviour -- server-class
+    connectivity and capacity, no playback, no patience, no departure,
+    the origin never dropped -- on :class:`NetPeer`'s transport.  Only the
+    bring-up differs: the origin lives in the coordinator, which answers
+    REGISTER with its live edge and then pushes BLOCKS frames down the
+    registration link.
     """
 
-    is_server = True
+    start = NetPeer.start  # net peers start via start_net()
 
     def __init__(self, system, node_id: int) -> None:
-        super().__init__(
-            system,
-            node_id=node_id,
-            user_id=-node_id,
-            session_id=-node_id,
-            attempt=1,
-            connectivity=ConnectivityClass.SERVER,
-            upload_bps=system.cfg.server_upload_bps,
-        )
+        super().__init__(system, node_id)
         #: set once REGISTER_OK arrives and relaying has begun
         self.ready = asyncio.Event()
-
-    def _max_partners(self) -> int:
-        return self.cfg.server_max_partners
 
     def _protocol_start(self) -> None:
         """Register with the coordinator; stream state is initialised by
@@ -400,47 +380,12 @@ class NetServer(NetPeer):
 
     def _on_coord_reply(self, msg_type: MsgType, payload: Dict[str, Any],
                         entries: list) -> None:
-        if msg_type is MsgType.REGISTER_OK:
-            self._attach_to_origin(int(payload["start"]))
-        else:
+        if msg_type is not MsgType.REGISTER_OK:
             self.on_bootstrap_reply(entries)
-
-    def _attach_to_origin(self, start: int) -> None:
-        """Initialise relay state at the origin's live edge (the net
-        analogue of ``DedicatedServer.start``'s direct source read)."""
-        if self.sync is not None:
-            return
-        k = self.cfg.n_substreams
-        self.start_index = start
-        self.sync = [SyncBuffer(start) for _ in range(k)]
-        self.heads = [start - 1] * k
-        self.playback = None  # servers do not play back
-        for sub in range(k):
-            self.parents[sub] = SOURCE_ID
-        self._start_tasks()
-        self.ready.set()
+        elif self.sync is None:
+            self._attach_to_origin(int(payload["start"]))
+            self.ready.set()
 
     def _on_coord_blocks(self, payload: Dict[str, Any]) -> None:
         self.deliver_blocks(SOURCE_ID, int(payload["substream"]),
                             int(payload["first"]), int(payload["last"]))
-
-    def _control_tick(self) -> None:
-        # DedicatedServer's slim tick: no joining, no adaptation, no
-        # patience -- just partner hygiene, BM broadcast and gossip
-        if not self.alive:
-            return
-        self._control_ticks += 1
-        for pid in self.partners.stale_partners(self.engine.now,
-                                                self._stale_timeout):
-            self._drop_partner(pid, notify=False)
-        self._broadcast_bm()
-        if self._control_ticks % self._gossip_every == 0:
-            self._gossip()
-
-    def _maybe_player_ready(self) -> None:
-        return  # nothing to get ready
-
-    def _drop_partner(self, partner_id: int, *, notify: bool) -> None:
-        if partner_id == SOURCE_ID:
-            return  # the origin is not droppable
-        super()._drop_partner(partner_id, notify=notify)

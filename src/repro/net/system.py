@@ -8,7 +8,9 @@ scheduling a latency-delayed callback.  That substitution is the whole
 trick: :class:`~repro.core.node.PeerNode` logic, the
 :class:`~repro.workload.users.UserPopulation` and the
 :class:`~repro.telemetry.reporter.NodeReporter` all run unmodified on
-top of it.
+top of it.  ``rpc`` follows the simulator's rule: a call is sent whether
+or not its sender is still alive, so a graceful leaver's PARTNER_CLOSE
+frames reach its partners before its links close.
 
 A departed peer leaves the registry as in the simulator.  A graceful
 leaver's coordinator link closes behind its LEAVE report frame, a silent
@@ -155,9 +157,12 @@ class NetSystem(PeerHost):
     # ------------------------------------------------------------------
     def rpc(self, src_id: int, dst_id: int, method: str, *args) -> None:
         """The transport substitution point: the reference node's RPCs
-        become wire frames sent from ``src``'s sockets."""
+        become wire frames sent from ``src``'s sockets.  As in the
+        simulator, a sender already marked LEFT still sends (a graceful
+        leaver's PARTNER_CLOSE frames); a receiver drops what reaches it
+        after its own departure."""
         sender = self._nodes.get(src_id)
-        if sender is not None and getattr(sender, "alive", False):
+        if sender is not None:
             sender.send_rpc(dst_id, method, args)
 
     def make_reporter(self, node: PeerNode):

@@ -40,7 +40,6 @@ from typing import (
 
 import numpy as np
 
-from repro.core.node import NodeState
 from repro.core.system import CoolstreamingSystem
 from repro.telemetry.server import LogServer
 from repro.workload.sessions import ProgramSchedule
@@ -118,16 +117,21 @@ class DetailedBackend:
     def __init__(self, scenario, seed: int = 0) -> None:
         self.scenario = scenario
         self.seed = int(seed)
-        self.system = CoolstreamingSystem(
-            scenario.cfg,
-            seed=seed,
-            capacity_model=scenario.capacity_model,
-            connectivity_mix=scenario.connectivity_mix,
-        )
+        self.system = self._build_system()
         self.population: Optional[UserPopulation] = None
         self._times: Optional[np.ndarray] = None
         self._durations: Optional[np.ndarray] = None
         self._endings: List[Tuple[float, float]] = []
+
+    def _build_system(self) -> CoolstreamingSystem:
+        """The peer host this backend drives."""
+        scenario = self.scenario
+        return CoolstreamingSystem(
+            scenario.cfg,
+            seed=self.seed,
+            capacity_model=scenario.capacity_model,
+            connectivity_mix=scenario.connectivity_mix,
+        )
 
     # -- workload ------------------------------------------------------
     def apply_workload(self, times: np.ndarray, durations: np.ndarray) -> None:
@@ -148,6 +152,7 @@ class DetailedBackend:
         self._endings.append((float(time_s), float(leave_probability)))
 
     def materialize(self) -> None:
+        """Attach the staged audience to the system (once)."""
         if self.population is not None:
             return
         if self._times is None:
@@ -178,14 +183,12 @@ class DetailedBackend:
     def snapshot_metrics(self) -> Dict[str, float]:
         """Simulator-side ground truth (not derived from the log)."""
         system = self.system
-        peers = system.peers()
-        playing = sum(1 for p in peers if p.state is NodeState.PLAYING)
+        summary = system.summary()
         out: Dict[str, float] = {
             "concurrent_users": float(system.concurrent_users),
-            "playing_users": float(playing),
+            "playing_users": summary["playing"],
             "sessions_spawned": float(system.sessions_spawned),
-            "mean_continuity": float(system.summary().get(
-                "mean_continuity", float("nan"))),
+            "mean_continuity": float(summary["mean_continuity"]),
         }
         if self.population is not None:
             out["success_fraction"] = self.population.success_fraction()

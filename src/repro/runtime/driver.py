@@ -128,12 +128,14 @@ class RuntimeResult:
     # -- engine-specific escape hatches --------------------------------
     @property
     def system(self):
-        """The :class:`CoolstreamingSystem` (detailed engine only)."""
+        """The peer host: :class:`CoolstreamingSystem` on ``detailed``,
+        :class:`~repro.net.system.NetSystem` on ``net``; None otherwise."""
         return getattr(self.backend, "system", None)
 
     @property
     def population(self):
-        """The :class:`UserPopulation` (detailed engine only)."""
+        """The :class:`UserPopulation` (``detailed`` and ``net``; None
+        on the other engines or before the first run)."""
         return getattr(self.backend, "population", None)
 
     @property

@@ -7,13 +7,17 @@ audiences at a high virtual-time scale.
 """
 
 import socket
+from collections import Counter
 
 import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.node import LeaveReason
 from repro.net.backend import NetBackend
+from repro.net.codec import MsgType
 from repro.net.config import NetConfig
+from repro.net.peer import NetPeer
+from repro.net.transport import NetStats
 from repro.runtime.backends import (
     BackendStartupError,
     DetailedBackend,
@@ -113,6 +117,77 @@ class TestNetEndToEnd:
         metrics = backend.snapshot_metrics()
         assert metrics["sessions_spawned"] > 10
         assert metrics["concurrent_users"] >= 9
+
+
+class TestLeaveNotifiesPartners:
+    @pytest.mark.parametrize("silent", [False, True],
+                             ids=["graceful", "silent"])
+    def test_partner_close_frames(self, monkeypatch, silent):
+        """A graceful leave sends each partner one PARTNER_CLOSE frame, as
+        the simulator's ``rpc`` delivers one ``rpc_partner_close`` call; a
+        silent leave sends none."""
+        closes = []
+        on_frame = NetPeer._on_frame
+
+        def counting(self, link, msg_type, payload):
+            if msg_type is MsgType.PARTNER_CLOSE:
+                closes.append((link.remote_id, self.node_id))
+            on_frame(self, link, msg_type, payload)
+
+        monkeypatch.setattr(NetPeer, "_on_frame", counting)
+        scenario = tiny_scenario(n_users=6, horizon_s=120.0)
+        backend = net_backend(scenario, seed=0)
+        left = {}
+
+        def leave_one(system):
+            victim = max(system.peers(), key=lambda p: len(p.partners.ids()))
+            left["id"] = victim.node_id
+            left["partners"] = set(victim.partners.ids())
+            victim.leave(LeaveReason.NORMAL, silent=silent)
+
+        backend.at(40.0, leave_one)
+        try:
+            backend.run(45.0)
+        finally:
+            backend.close()
+
+        assert left["partners"], "the leaver had no partner at t=40"
+        sent = Counter(dst for src, dst in closes if src == left["id"])
+        expected = {} if silent else dict.fromkeys(left["partners"], 1)
+        assert sent == expected
+
+
+class TestNetBackendLifecycle:
+    """``net`` stages and reports exactly as ``detailed`` does."""
+
+    def test_metric_keys_are_detaileds_plus_the_transport_counters(self):
+        scenario = tiny_scenario(n_users=4, horizon_s=60.0)
+        workload = sample_workload(scenario, 0)
+        net_keys = set(NetStats().as_dict())
+        for materialized in (False, True):
+            backends = (DetailedBackend(scenario, seed=0),
+                        NetBackend(scenario, seed=0))
+            for backend in backends:
+                backend.apply_workload(workload.times, workload.durations)
+                if materialized:
+                    backend.materialize()
+            detailed, net = (set(b.snapshot_metrics()) for b in backends)
+            assert ("adaptations" in detailed) is materialized
+            assert net == detailed | net_keys
+            assert not detailed & net_keys
+
+    def test_staging_guards(self):
+        backend = net_backend(tiny_scenario(n_users=4, horizon_s=60.0))
+        workload = sample_workload(backend.scenario, 0)
+        with pytest.raises(RuntimeError, match="already applied"):
+            backend.apply_workload(workload.times, workload.durations)
+        backend.add_program_ending(30.0, 0.5)
+        try:
+            backend.run(5.0)
+            with pytest.raises(RuntimeError, match="after run"):
+                backend.add_program_ending(40.0, 0.5)
+        finally:
+            backend.close()
 
 
 class TestLogOrder:
