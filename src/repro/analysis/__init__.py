@@ -45,7 +45,6 @@ from repro.analysis.streaming import (
 from repro.analysis.resources import (
     SupplyDemand,
     supply_demand_snapshot,
-    utilization_by_class,
 )
 from repro.analysis.sessions import Session, SessionTable
 from repro.analysis.classification import UserType, type_distribution
@@ -77,7 +76,6 @@ __all__ = [
     "JoinFunnelFold",
     "SupplyDemand",
     "supply_demand_snapshot",
-    "utilization_by_class",
     "Session",
     "SessionTable",
     "UserType",

@@ -33,21 +33,6 @@ class JoinFunnel:
                 >= 0):
             raise ValueError("funnel stages must be monotone non-increasing")
 
-    @property
-    def subscription_rate(self) -> float:
-        """P(start-subscription | join)."""
-        return self.subscribed / self.joined if self.joined else float("nan")
-
-    @property
-    def ready_rate(self) -> float:
-        """P(player-ready | join) -- the join success probability."""
-        return self.ready / self.joined if self.joined else float("nan")
-
-    @property
-    def buffering_survival(self) -> float:
-        """P(player-ready | start-subscription): surviving the buffer fill."""
-        return self.ready / self.subscribed if self.subscribed else float("nan")
-
     def rows(self) -> List[Tuple[str, int, str]]:
         """(stage, sessions, conversion-from-join) table rows."""
         out = []

@@ -2,21 +2,15 @@
 
 Section VI lists as open work: "it is important to analyze the resource
 distribution and bottleneck in the system".  This module does that
-analysis on simulator capacity ground truth:
-
-* system-wide supply/demand ratio over time (the [23] critical-ratio
-  quantity: aggregate usable upload vs aggregate stream demand);
-* per-class capacity utilization (how much of each class's upload
-  capacity actually carries bytes);
-* a bottleneck verdict per run.
+analysis on simulator capacity ground truth: the system-wide capacity
+balance, aggregate usable upload against aggregate stream demand (their
+ratio is the critical ratio of [23]).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Tuple
-
-from repro.network.connectivity import ConnectivityClass
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import CoolstreamingSystem
@@ -24,7 +18,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "SupplyDemand",
     "supply_demand_snapshot",
-    "utilization_by_class",
 ]
 
 
@@ -42,25 +35,6 @@ class SupplyDemand:
     def supply_bps(self) -> float:
         """Total usable supply (servers + reachable peers)."""
         return self.server_supply_bps + self.peer_supply_bps
-
-    @property
-    def ratio(self) -> float:
-        """Usable supply over demand -- the critical ratio of [23].
-        Infinity when nobody is watching."""
-        if self.demand_bps == 0:
-            return float("inf")
-        return self.supply_bps / self.demand_bps
-
-    @property
-    def bottleneck(self) -> str:
-        """A verdict: 'none' (ratio >= 1.2), 'tight' (1.0-1.2) or
-        'capacity' (under-provisioned)."""
-        r = self.ratio
-        if r >= 1.2:
-            return "none"
-        if r >= 1.0:
-            return "tight"
-        return "capacity"
 
 
 def supply_demand_snapshot(
@@ -89,22 +63,3 @@ def supply_demand_snapshot(
         peer_supply_bps=peer_supply,
         raw_peer_supply_bps=raw_supply,
     )
-
-
-def utilization_by_class(
-    system: "CoolstreamingSystem",
-) -> Dict[ConnectivityClass, Tuple[float, float]]:
-    """Per class: (uploaded bits so far, capacity-seconds so far is not
-    tracked, so we report current upload rate share instead).
-
-    Returns class -> (total uploaded bits, share of all uploaded bits).
-    """
-    totals: Dict[ConnectivityClass, float] = {}
-    for node in system.all_streaming_nodes():
-        totals.setdefault(node.connectivity, 0.0)
-        totals[node.connectivity] += node.scheduler.bits_uploaded
-    grand = sum(totals.values())
-    return {
-        cls: (bits, bits / grand if grand > 0 else 0.0)
-        for cls, bits in totals.items()
-    }

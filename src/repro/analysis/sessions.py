@@ -51,11 +51,6 @@ class Session:
         )
 
     @property
-    def started_playback(self) -> bool:
-        """Whether the session ever reached playback."""
-        return self.ready_time is not None
-
-    @property
     def duration(self) -> Optional[float]:
         """Join-to-leave time; None when either endpoint is missing."""
         if self.join_time is None or self.leave_time is None:
@@ -196,12 +191,3 @@ class SessionTable:
         for n in joins_per_user.values():
             hist[n - 1] = hist.get(n - 1, 0) + 1
         return hist
-
-    def sessions_per_user(self) -> Dict[int, List[Session]]:
-        """Sessions grouped by user id, join-ordered."""
-        by_user: Dict[int, List[Session]] = {}
-        for s in self._sessions.values():
-            by_user.setdefault(s.user_id, []).append(s)
-        for lst in by_user.values():
-            lst.sort(key=lambda s: (s.join_time if s.join_time is not None else np.inf))
-        return by_user

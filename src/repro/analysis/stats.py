@@ -7,7 +7,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Cdf", "bin_timeseries", "tail_fraction"]
+__all__ = ["Cdf", "bin_timeseries"]
 
 
 @dataclass(frozen=True)
@@ -52,15 +52,6 @@ class Cdf:
         """The sample mean."""
         return float(self.xs.mean())
 
-    def evaluate(self, grid: Sequence[float]) -> np.ndarray:
-        """CDF values on an arbitrary grid (for table rendering)."""
-        g = np.asarray(grid, dtype=float)
-        return np.searchsorted(self.xs, g, side="right") / self.xs.size
-
-    def table(self, grid: Sequence[float]) -> list[Tuple[float, float]]:
-        """(x, P(X<=x)) rows on the given grid."""
-        return list(zip([float(g) for g in grid], self.evaluate(grid).tolist()))
-
 
 def bin_timeseries(
     times: Sequence[float],
@@ -94,11 +85,3 @@ def bin_timeseries(
     means = np.divide(sums, counts, out=np.full(n_bins, np.nan), where=counts > 0)
     centers = t0 + (np.arange(n_bins) + 0.5) * bin_s
     return centers, means, counts
-
-
-def tail_fraction(samples: Sequence[float], threshold: float) -> float:
-    """Fraction of samples strictly above ``threshold``."""
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size == 0:
-        raise ValueError("no samples")
-    return float((arr > threshold).mean())

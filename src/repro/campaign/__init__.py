@@ -25,7 +25,6 @@ CLI: ``python -m repro campaign run|status|clean`` (see
 from repro.campaign.aggregate import (
     report_to_dict,
     successful_results,
-    sweep_series,
     to_replication,
     write_metrics_json,
 )
@@ -52,6 +51,6 @@ __all__ = [
     "DEFAULT_TRANSIENT",
     "CAMPAIGN_EXPERIMENTS", "UnknownExperimentError", "resolve_experiment",
     "experiment_ref",
-    "successful_results", "to_replication", "sweep_series",
+    "successful_results", "to_replication",
     "report_to_dict", "write_metrics_json",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.campaign.runner import CampaignReport, RunResult
 from repro.experiments.replication import MetricSummary, ReplicationResult
@@ -21,7 +21,6 @@ from repro.experiments.replication import MetricSummary, ReplicationResult
 __all__ = [
     "successful_results",
     "to_replication",
-    "sweep_series",
     "report_to_dict",
     "write_metrics_json",
 ]
@@ -69,28 +68,6 @@ def to_replication(
         out.samples[key] = values
         out.summaries[key] = MetricSummary.from_samples(key, values)
     return out
-
-
-def sweep_series(
-    report: CampaignReport, param: str, metric: str
-) -> Tuple[List[Any], List[MetricSummary]]:
-    """Figure-ready sweep: for each value of ``overrides[param]`` (sorted),
-    the cross-seed summary of ``metric``.  Runs missing the param are
-    ignored (a mixed campaign may sweep several axes)."""
-    buckets: Dict[Any, List[float]] = {}
-    for r in successful_results(report):
-        if param not in r.spec.overrides:
-            continue
-        value = r.spec.overrides[param]
-        buckets.setdefault(value, []).append(
-            float(r.metrics.get(metric, math.nan))
-        )
-    xs = sorted(buckets)
-    summaries = [
-        MetricSummary.from_samples(f"{metric}@{param}={x}", buckets[x])
-        for x in xs
-    ]
-    return xs, summaries
 
 
 def report_to_dict(report: CampaignReport) -> Dict[str, Any]:

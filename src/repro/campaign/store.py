@@ -44,10 +44,6 @@ class ResultStore:
         """Provenance sidecar path for ``key``."""
         return self.objects_dir / key[:2] / f"{key}.manifest.json"
 
-    def has(self, key: str) -> bool:
-        """Whether a completed result for ``key`` is cached."""
-        return self.object_path(key).is_file()
-
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """Cached payload for ``key`` or None (corrupt objects read as
         missing rather than poisoning a campaign)."""

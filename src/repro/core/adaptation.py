@@ -50,11 +50,6 @@ class CooldownTimer:
         self._enabled = bool(enabled)
         self._last: float = float("-inf")
 
-    @property
-    def last_adaptation(self) -> float:
-        """Time of the most recent adaptation."""
-        return self._last
-
     def ready(self, now: float) -> bool:
         """Whether an adaptation may be performed now."""
         if not self._enabled:

@@ -7,9 +7,8 @@ global sequence ``s`` belongs to sub-stream ``s mod K`` and is that
 sub-stream's block number ``s // K`` (its *local index*).
 
 All engine arithmetic uses local indices (differences are directly seconds);
-this module is the single place converting between the two framings, and it
-also provides the deadline arithmetic used by the continuity-index
-computation.
+this module is the single place converting a global sequence number to its
+local index.
 """
 
 from __future__ import annotations
@@ -23,67 +22,31 @@ __all__ = ["StreamGeometry"]
 class StreamGeometry:
     """Framing math for a ``K``-sub-stream block schedule.
 
+    One block of one sub-stream covers one second of play, so local
+    indices are seconds: the library's threshold arithmetic (the block
+    lags Inequalities (1)/(2) compare against ``T_s``/``T_p``) relies on it.
+
     Parameters
     ----------
     n_substreams:
         K, the number of sub-streams.
-    block_seconds:
-        Play time covered by one block of one sub-stream.  The default of
-        1.0 makes local indices equal seconds, which the rest of the
-        library relies on for threshold arithmetic.
     """
 
     n_substreams: int
-    block_seconds: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_substreams < 1:
             raise ValueError("n_substreams must be >= 1")
-        if self.block_seconds <= 0:
-            raise ValueError("block_seconds must be positive")
 
     # --- framing conversions ---------------------------------------------
-    def substream_of(self, global_seq: int) -> int:
-        """Sub-stream that carries global sequence number ``global_seq``."""
-        if global_seq < 0:
-            raise ValueError("sequence numbers are non-negative")
-        return global_seq % self.n_substreams
-
     def local_index(self, global_seq: int) -> int:
         """Position of ``global_seq`` within its sub-stream."""
         if global_seq < 0:
             raise ValueError("sequence numbers are non-negative")
         return global_seq // self.n_substreams
 
-    def global_seq(self, substream: int, local_index: int) -> int:
-        """Inverse of (:meth:`substream_of`, :meth:`local_index`)."""
-        self._check_substream(substream)
-        if local_index < 0:
-            raise ValueError("local index must be non-negative")
-        return local_index * self.n_substreams + substream
-
-    # --- timing ------------------------------------------------------------
-    def deadline(self, global_seq: int, playout_origin_s: float,
-                 playout_start_seq: int) -> float:
-        """Wall-clock deadline of a block for a viewer whose playout started
-        at time ``playout_origin_s`` from global sequence
-        ``playout_start_seq``.
-        """
-        ahead = global_seq - playout_start_seq
-        return playout_origin_s + ahead * self.block_seconds / self.n_substreams
-
-    def blocks_per_second_global(self) -> float:
-        """Global block consumption rate of the player."""
-        return self.n_substreams / self.block_seconds
-
     def live_edge_local(self, elapsed_s: float) -> int:
         """Local index of the newest *complete* block the source has
         produced on every sub-stream, ``elapsed_s`` after stream start.
         Returns -1 before the first block completes."""
-        return int(elapsed_s / self.block_seconds) - 1
-
-    def _check_substream(self, substream: int) -> None:
-        if not (0 <= substream < self.n_substreams):
-            raise ValueError(
-                f"substream {substream} out of range [0, {self.n_substreams})"
-            )
+        return int(elapsed_s) - 1

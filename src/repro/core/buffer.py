@@ -131,14 +131,6 @@ class CacheBuffer:
         """Cache-window span in blocks."""
         return self._window
 
-    def oldest_available(self, head: int) -> int:
-        """Oldest local index still servable given a sub-stream ``head``."""
-        return max(0, head - self._window + 1)
-
-    def available(self, head: int, local_index: int) -> bool:
-        """Whether block ``local_index`` is in the window for ``head``."""
-        return self.oldest_available(head) <= local_index <= head
-
 
 @dataclass(frozen=True, slots=True)
 class BufferMap:
@@ -173,11 +165,6 @@ class BufferMap:
     def k(self) -> int:
         """Number of sub-streams."""
         return len(self.heads)
-
-    @property
-    def min_head(self) -> int:
-        """Least advanced sub-stream head (the ``n`` of Section IV.A)."""
-        return min(self.heads)
 
     def head_local(self, substream: int, geometry: StreamGeometry) -> int:
         """Latest received *local* index on ``substream`` (-1 if none)."""

@@ -43,10 +43,6 @@ class MCacheEntry:
     joined_at: float          # when that node joined the overlay
     last_seen: float          # when this entry was last refreshed
 
-    def age(self, now: float) -> float:
-        """Overlay age of the referenced node as believed by this entry."""
-        return max(0.0, now - self.joined_at)
-
     def refreshed(self, now: float) -> "MCacheEntry":
         """A copy with ``last_seen`` updated."""
         return make_entry(self.node_id, self.connectivity, self.joined_at, now)
@@ -103,11 +99,6 @@ class MCache:
     def capacity(self) -> int:
         """Maximum entries held."""
         return self._capacity
-
-    @property
-    def policy(self) -> ReplacementPolicy:
-        """The active replacement policy."""
-        return self._policy
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -194,10 +185,3 @@ class MCache:
         if self_entry is not None:
             payload = [self_entry] + payload
         return payload
-
-    def mean_entry_age(self, now: float) -> float:
-        """Average overlay age of the referenced nodes.  Diagnostic used by
-        the flash-crowd analysis (young views = slow joins)."""
-        if not self._entries:
-            return 0.0
-        return float(np.mean([e.age(now) for e in self._entries.values()]))

@@ -45,12 +45,6 @@ class PartnerState:
         self.bm = bm
         self.last_bm_time = now
 
-    def bm_age(self, now: float) -> float:
-        """Seconds since the last BM was heard (inf if never)."""
-        if self.last_bm_time < 0:
-            return float("inf")
-        return now - self.last_bm_time
-
 
 class PartnershipManager:
     """Bounded set of partnerships with direction and BM bookkeeping."""
@@ -98,11 +92,6 @@ class PartnershipManager:
     def is_full(self) -> bool:
         """Whether the partner set reached M."""
         return len(self._partners) >= self._max
-
-    def has_incoming(self) -> bool:
-        """Whether this node ever held an incoming partnership -- the
-        observable that classifies it as direct/UPnP in Section V.B."""
-        return self.total_incoming_ever > 0
 
     # --- mutation ---------------------------------------------------------------
     def add(
@@ -170,7 +159,7 @@ class PartnershipManager:
         for state in self._partners.values():
             if now - state.established_at < timeout_s:
                 continue
-            # inlined bm_age: never-heard (last_bm_time < 0) is infinitely old
+            # never heard a BM (last_bm_time < 0): infinitely old
             t = state.last_bm_time
             if t < 0 or now - t > timeout_s:
                 out.append(state.node_id)

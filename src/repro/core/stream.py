@@ -45,12 +45,7 @@ class SubscriptionConn:
     substream: int
     next_index: int
     credit: float = 0.0
-    blocks_sent: int = 0
     started_at: float = 0.0
-
-    def lag_behind(self, parent_head: int) -> int:
-        """How many deliverable blocks the child is behind the parent."""
-        return max(0, parent_head - self.next_index + 1)
 
 
 class UploadScheduler:
@@ -116,10 +111,6 @@ class UploadScheduler:
         keys = [k for k in self._conns if k[0] == child_id]
         return [self._conns.pop(k) for k in keys]
 
-    def connections(self) -> List[SubscriptionConn]:
-        """All live connections."""
-        return list(self._conns.values())
-
     def children(self) -> set[int]:
         """Ids of children currently served."""
         return {child for (child, _s) in self._conns}
@@ -128,10 +119,6 @@ class UploadScheduler:
     def substream_degree(self) -> int:
         """``D_p``: the out-going sub-stream degree of this parent."""
         return len(self._conns)
-
-    def degree_for_substream(self, substream: int) -> int:
-        """Out-degree restricted to one sub-stream."""
-        return sum(1 for (_c, s) in self._conns if s == substream)
 
     # --- the delivery quantum -------------------------------------------------
     def deliver(
@@ -206,7 +193,6 @@ class UploadScheduler:
                     first = conn.next_index
                     conn.next_index = first + n
                     credit -= n
-                    conn.blocks_sent += n
                     bits_this_quantum += n * block_bits
                     push(conn, first, first + n - 1)
             # Credit must not bank unboundedly while a child is caught up:

@@ -10,7 +10,6 @@ campaign specs.
 
 from repro.experiments.render import (
     FigureResult,
-    render_cdf_table,
     render_series,
     render_table,
 )
@@ -51,7 +50,6 @@ EXPERIMENTS = {
 __all__ = [
     "EXPERIMENTS",
     "FigureResult",
-    "render_cdf_table",
     "render_series",
     "render_table",
     "table1",

@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-__all__ = ["FigureResult", "render_table", "render_series", "render_cdf_table", "sparkline"]
+__all__ = ["FigureResult", "render_table", "render_series", "sparkline"]
 
 _BARS = " .:-=+*#%@"
 
@@ -75,16 +75,6 @@ def render_series(
     return f"{name:28s} [{sparkline(arr, width=width)}] min={lo} max={hi} ({xr})"
 
 
-def render_cdf_table(
-    name: str, grid: Sequence[float], cdf_values: Sequence[float]
-) -> str:
-    """Render a CDF sampled on a grid as a table."""
-    rows = [
-        (f"{g:g}", f"{v:.3f}") for g, v in zip(grid, cdf_values)
-    ]
-    return f"{name}\n" + render_table(("x", "P(X<=x)"), rows)
-
-
 @dataclass
 class FigureResult:
     """The output of one figure-regeneration run."""
@@ -133,10 +123,3 @@ class FigureResult:
         import json
 
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def metrics_csv(self) -> str:
-        """``metric,value`` CSV of the key metrics, one row per metric."""
-        lines = ["metric,value"]
-        for k, v in self.metrics.items():
-            lines.append(f"{k},{v!r}")
-        return "\n".join(lines) + "\n"

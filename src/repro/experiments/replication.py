@@ -57,14 +57,6 @@ class MetricSummary:
             n=int(arr.size),
         )
 
-    @property
-    def spread(self) -> float:
-        """max - min across replicates (NaN when no finite sample exists,
-        rather than a misleading 0 or a ``nan - nan`` surprise)."""
-        if self.n == 0:
-            return float("nan")
-        return self.max - self.min
-
     def to_dict(self) -> Dict[str, float]:
         """JSON-ready form."""
         return {"mean": self.mean, "std": self.std, "min": self.min,

@@ -244,16 +244,6 @@ class FastSimulation:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    def attach_obs(self, ctx) -> None:
-        """Attach an observability context explicitly (double-attach guarded)."""
-        if self._obs is not None:
-            raise RuntimeError("fastsim is already instrumented")
-        self._obs = ctx
-
-    def detach_obs(self) -> None:
-        """Remove instrumentation from this simulation."""
-        self._obs = None
-
     def _mark_phase(self, name: str, t0: float) -> float:
         """Charge the wall-clock since ``t0`` to phase ``name``."""
         t1 = perf_counter()  # repro: noqa[DET002] opt-in phase-timing instrumentation only

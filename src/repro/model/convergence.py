@@ -100,16 +100,6 @@ class ConvergenceModel:
             out[i] = state[0]
         return out
 
-    def rounds_to_converge(self, initial_stable: float, tolerance: float = 0.01,
-                           max_rounds: int = 10_000) -> int:
-        """Rounds until within ``tolerance`` of the stationary fraction."""
-        target = self.stationary_stable_fraction()
-        traj = self.transient(initial_stable, max_rounds)
-        hits = np.nonzero(np.abs(traj - target) <= tolerance)[0]
-        if hits.size == 0:
-            raise RuntimeError("did not converge within max_rounds")
-        return int(hits[0])
-
     # --- calibration from first principles -------------------------------------
     @classmethod
     def from_populations(

@@ -44,11 +44,6 @@ class VirtualClock:
         self._accum_virtual = 0.0
         self._resumed_wall: float | None = None
 
-    @property
-    def running(self) -> bool:
-        """Whether virtual time is currently advancing."""
-        return self._resumed_wall is not None
-
     def resume(self) -> None:
         """Let virtual time advance.  Idempotent."""
         if self._resumed_wall is None:
@@ -72,7 +67,3 @@ class VirtualClock:
         end of a run)."""
         if self._resumed_wall is None and self._accum_virtual > virtual:
             self._accum_virtual = float(virtual)
-
-    def wall_delay(self, virtual_delay: float) -> float:
-        """Wall seconds corresponding to a virtual duration."""
-        return max(0.0, virtual_delay) / self.time_scale

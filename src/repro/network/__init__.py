@@ -8,9 +8,9 @@ that substrate:
 
 * :class:`ConnectivityClass` / :func:`can_initiate` -- the four user types
   (direct-connect, UPnP, NAT, firewall) and the partnership-direction rule.
-* :class:`CapacityModel` -- heterogeneous upload/download capacity sampling.
+* :class:`CapacityModel` -- heterogeneous upload capacity sampling.
 * :class:`LatencyModel` -- pairwise propagation delay.
-* :func:`waterfill` / :func:`waterfill_rates` -- max-min fair division of a
+* :func:`waterfill_rates` -- max-min fair division of a
   parent's upload among child connections, the quantity that drives
   Eqs. (3)-(6).
 """
@@ -23,7 +23,7 @@ from repro.network.connectivity import (
 )
 from repro.network.capacity import CapacityModel, CapacityProfile
 from repro.network.latency import LatencyModel
-from repro.network.fairshare import waterfill, waterfill_rates
+from repro.network.fairshare import waterfill_rates
 
 __all__ = [
     "ConnectivityClass",
@@ -33,6 +33,5 @@ __all__ = [
     "CapacityModel",
     "CapacityProfile",
     "LatencyModel",
-    "waterfill",
     "waterfill_rates",
 ]

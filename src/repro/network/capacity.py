@@ -1,4 +1,4 @@
-"""Heterogeneous upload/download capacity sampling.
+"""Heterogeneous upload capacity sampling.
 
 The paper reports highly unbalanced upload contributions (Fig. 3b: ~30% of
 peers carry >80% of bytes).  Two mechanisms produce this in the deployed
@@ -101,21 +101,15 @@ _DEFAULT_PROFILES: Mapping[ConnectivityClass, CapacityProfile] = {
 
 @dataclass(frozen=True)
 class CapacityModel:
-    """Per-connectivity-class capacity profiles.
+    """Per-connectivity-class upload capacity profiles.
 
-    ``download_factor`` scales a peer's download capacity relative to its
-    upload (asymmetric access links; the paper's constraint analysis is
-    upload-side, so the default leaves downloads comfortably unconstrained).
+    Downloads are not modelled: the paper's constraint analysis is
+    upload-side.
     """
 
     profiles: Mapping[ConnectivityClass, CapacityProfile] = field(
         default_factory=lambda: dict(_DEFAULT_PROFILES)
     )
-    download_factor: float = 8.0
-
-    def __post_init__(self) -> None:
-        if self.download_factor <= 0:
-            raise ValueError("download_factor must be positive")
 
     def sample_upload(
         self, cls: ConnectivityClass, rng: np.random.Generator
@@ -141,10 +135,6 @@ class CapacityModel:
                 out[mask] = profile.sample(n, rng)
         return out
 
-    def download_for(self, upload_bps: float) -> float:
-        """Download capacity implied by an upload capacity."""
-        return upload_bps * self.download_factor
-
     def mean_upload(self, cls: ConnectivityClass) -> float:
         """Expected upload capacity of one class."""
         return self.profiles[cls].mean_bps
@@ -165,4 +155,4 @@ class CapacityModel:
             )
             for cls, p in self.profiles.items()
         }
-        return CapacityModel(profiles=scaled, download_factor=self.download_factor)
+        return CapacityModel(profiles=scaled)

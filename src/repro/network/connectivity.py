@@ -54,11 +54,6 @@ class ConnectivityClass(enum.IntEnum):
                         ConnectivityClass.SERVER)
 
     @property
-    def accepts_incoming(self) -> bool:
-        """Whether this class accepts incoming partnerships."""
-        return can_accept_incoming(self)
-
-    @property
     def is_contributor_class(self) -> bool:
         """Direct/UPnP: the classes Fig. 3 shows carrying >80% of upload."""
         return self in (ConnectivityClass.DIRECT, ConnectivityClass.UPNP,

@@ -20,7 +20,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["waterfill", "waterfill_rates"]
+__all__ = ["waterfill_rates"]
 
 # Below this size the pure-Python fill beats the numpy call overhead (the
 # common case is a handful of child connections per parent).
@@ -117,14 +117,17 @@ def _waterfill_np(capacity: float, d: np.ndarray) -> np.ndarray:
 
 
 def waterfill_rates(capacity: float, demands: Sequence[float]) -> List[float]:
-    """Max-min fair allocation returning a plain list of floats.
+    """Max-min fair allocation of ``capacity`` (>= 0) over ``demands``
+    (each >= 0; ``inf`` allowed: a catching-up child absorbs anything).
 
-    The hot-path variant of :func:`waterfill` used by the upload
-    schedulers: for small flat demand vectors it runs a pure-Python fill
-    (no numpy round-trip), falling back to the numpy path for large
-    vectors and for tie patterns whose ulp assignment is sort-order
-    dependent (see :func:`_waterfill_py`).  Allocation values are
-    bit-identical to :func:`waterfill` in every case.
+    Returns a plain list with ``0 <= alloc[i] <= demands[i]`` and
+    ``sum(alloc) == min(capacity, sum(demands))`` up to float error.  For
+    small flat demand vectors it runs a pure-Python fill (no numpy
+    round-trip), falling back to the numpy recurrence
+    :func:`_waterfill_np` for large vectors and for tie patterns whose ulp
+    assignment is sort-order dependent (see :func:`_waterfill_py`).
+    Allocation values are bit-identical to :func:`_waterfill_np` in every
+    case.
     """
     if capacity < 0:
         raise ValueError(f"capacity must be non-negative (got {capacity})")
@@ -140,39 +143,3 @@ def waterfill_rates(capacity: float, demands: Sequence[float]) -> List[float]:
     if (d < 0).any():
         raise ValueError("demands must be non-negative")
     return _waterfill_np(capacity, d).tolist()
-
-
-def waterfill(capacity: float, demands: Sequence[float]) -> np.ndarray:
-    """Max-min fair allocation of ``capacity`` over ``demands``.
-
-    Parameters
-    ----------
-    capacity:
-        Total resource to divide (e.g. parent upload, bps).  Must be >= 0.
-    demands:
-        Per-connection maximum useful rate.  ``inf`` is allowed (a
-        catching-up child absorbs anything).
-
-    Returns
-    -------
-    numpy.ndarray
-        Allocation with ``0 <= alloc[i] <= demands[i]`` and
-        ``sum(alloc) == min(capacity, sum(demands))`` (up to float error).
-
-    Notes
-    -----
-    Runs in O(n log n) by sorting demands once, following the standard
-    progressive-filling recurrence rather than a loop of passes.  Use
-    :func:`waterfill_rates` on hot paths: same values, list output, and a
-    pure-Python fast path for small vectors.
-    """
-    d = np.asarray(demands, dtype=float)
-    if d.ndim != 1:
-        raise ValueError("demands must be one-dimensional")
-    if capacity < 0:
-        raise ValueError(f"capacity must be non-negative (got {capacity})")
-    if (d < 0).any():
-        raise ValueError("demands must be non-negative")
-    if d.size == 0:
-        return np.zeros(0)
-    return _waterfill_np(capacity, d)

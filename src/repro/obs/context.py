@@ -30,7 +30,8 @@ __all__ = ["ObsError", "ObsContext", "current", "activate", "deactivate",
 
 
 class ObsError(RuntimeError):
-    """Raised on observability misuse (double sessions, double attach)."""
+    """Raised on observability misuse (a second session, deactivating an
+    inactive context)."""
 
 
 class ObsContext:

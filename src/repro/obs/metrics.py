@@ -196,11 +196,6 @@ class Timer:
         """Number of recorded durations."""
         return self.hist.count
 
-    @property
-    def total_s(self) -> float:
-        """Total recorded wall time in seconds."""
-        return self.hist.total
-
     def __enter__(self) -> "Timer":
         from time import perf_counter
         self._t0 = perf_counter()

@@ -71,20 +71,6 @@ class TraceCollector:
             ev["args"] = {"sim_time": sim_time}
         self._events.append(ev)
 
-    def instant(self, name: str, *, cat: str = "sim", tid: int = 0,
-                sim_time: Optional[float] = None) -> None:
-        """Record an instant event at the current wall time."""
-        if len(self._events) >= self._max:
-            self.dropped += 1
-            return
-        ev: Dict[str, object] = {
-            "name": name, "ph": "i", "s": "g", "cat": cat, "pid": 0,
-            "tid": tid, "ts": self.now_us(),
-        }
-        if sim_time is not None:
-            ev["args"] = {"sim_time": sim_time}
-        self._events.append(ev)
-
     def counter(self, name: str, values: Dict[str, float], *,
                 cat: str = "sim") -> None:
         """Record a counter sample (renders as a track of stacked areas)."""

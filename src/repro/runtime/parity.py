@@ -195,16 +195,6 @@ class ParityReport:
     results: Dict[str, RuntimeResult] = field(default_factory=dict)
 
     @property
-    def detailed_result(self) -> Optional[RuntimeResult]:
-        """The first engine's run (``None`` unless kept)."""
-        return self.results.get(self.engines[0])
-
-    @property
-    def fast_result(self) -> Optional[RuntimeResult]:
-        """The second engine's run (``None`` unless kept)."""
-        return self.results.get(self.engines[1])
-
-    @property
     def ok(self) -> bool:
         """Every metric within tolerance."""
         return all(c.ok for c in self.comparisons)

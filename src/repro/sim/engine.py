@@ -195,24 +195,6 @@ class Engine:
         self.heap_compactions += 1
 
     # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
-    def attach_obs(self, ctx) -> None:
-        """Attach an observability context explicitly.
-
-        Guarded against double-instrumentation: attaching twice would run
-        the observed loop with stale pre-fetched metrics and double-count
-        trace events, so it raises instead.
-        """
-        if self._obs is not None:
-            raise SimulationError("engine is already instrumented")
-        self._obs = ctx
-
-    def detach_obs(self) -> None:
-        """Remove instrumentation; the kernel reverts to the plain loop."""
-        self._obs = None
-
-    # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
@@ -408,11 +390,6 @@ class PeriodicTask:
         self._fn()
         if not self._stopped:
             self._arm(self._period)
-
-    @property
-    def period(self) -> float:
-        """The firing period in seconds."""
-        return self._period
 
     def stop(self) -> None:
         """Stop the task; pending firing is cancelled.

@@ -18,59 +18,22 @@ __all__ = ["encode_log_string", "decode_log_string", "LOG_PATH"]
 
 LOG_PATH = "/log"
 
-# ``quote(s, safe="")`` is the identity on strings made of these RFC 3986
-# unreserved characters -- which covers almost every report field (numeric
-# ids, timestamps, enum names).  Checking set membership is far cheaper
-# than running the quoter, and bit-identical by definition of quote().
-_UNRESERVED = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-~"
-)
-#: what a joined ``k1=v1&k2=v2`` string is allowed to contain when every
-#: key and value is purely unreserved (the separators are structural)
-_JOINED_SAFE = frozenset(_UNRESERVED | {"=", "&"})
-
 
 def encode_log_string(params: Dict[str, str]) -> str:
     """Encode a parameter dict as an HTTP request URL string.
 
     Keys are emitted in insertion order (clients build them
     deterministically), values are percent-encoded.  Output is identical
-    to ``urlencode(params, quote_via=quote)``; unreserved-only strings
-    skip the quoter.
+    to ``urlencode(params, quote_via=quote)``.  The reports' generated
+    ``to_log_string`` is held to this encoder by the tests.
     """
     if not params:
         raise ValueError("a log string needs at least one parameter")
-    # fast path: if the naive join contains only unreserved characters
-    # plus exactly the structural separators, no key or value needed
-    # quoting and the naive string IS the encoding.  Report fields are
-    # numeric ids / enum names, so this is the overwhelmingly common case
-    # and turns a per-pair python loop into a few C-level string scans.
-    try:
-        naive = "&".join(map("=".join, params.items()))
-    except TypeError:
-        naive = None  # non-str value somewhere: take the general path
-    if (
-        naive is not None
-        and _JOINED_SAFE.issuperset(naive)
-        and naive.count("=") == len(params)     # no "=" in any key/value
-        and naive.count("&") == len(params) - 1  # no "&" in any key/value
-        and naive[0] != "="                      # no empty first key
-        and "&=" not in naive                    # no empty later key
-    ):
-        return LOG_PATH + "?" + naive
-    unreserved = _UNRESERVED.issuperset
     parts = []
-    append = parts.append
     for key, value in params.items():
         if not key or "=" in key or "&" in key:
             raise ValueError(f"invalid parameter name {key!r}")
-        if not unreserved(key):
-            key = quote(key, safe="")
-        if not isinstance(value, str):
-            value = str(value)
-        if not unreserved(value):
-            value = quote(value, safe="")
-        append(key + "=" + value)
+        parts.append(quote(key, safe="") + "=" + quote(str(value), safe=""))
     return LOG_PATH + "?" + "&".join(parts)
 
 

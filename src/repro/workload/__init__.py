@@ -19,7 +19,6 @@ from repro.workload.arrivals import (
     DiurnalProfile,
     FlashCrowd,
     PoissonArrivals,
-    merge_arrivals,
 )
 from repro.workload.sessions import SessionDurationModel, ProgramSchedule
 from repro.workload.surfing import ChannelAudience, zipf_popularity
@@ -31,7 +30,6 @@ __all__ = [
     "DiurnalProfile",
     "FlashCrowd",
     "PoissonArrivals",
-    "merge_arrivals",
     "SessionDurationModel",
     "ProgramSchedule",
     "ChannelAudience",

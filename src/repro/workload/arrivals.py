@@ -11,7 +11,7 @@ of shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, Tuple
+from typing import Protocol, Tuple
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "DiurnalProfile",
     "FlashCrowd",
     "UniformBurst",
-    "merge_arrivals",
 ]
 
 
@@ -209,10 +208,3 @@ class UniformBurst:
     def sample(self, horizon_s: float, rng: np.random.Generator) -> np.ndarray:
         """Sorted arrival times (the count is deterministic)."""
         return np.sort(rng.uniform(self.t0, self.t1, size=self.n_users))
-
-
-def merge_arrivals(streams: Sequence[np.ndarray]) -> np.ndarray:
-    """Merge several arrival-time arrays into one sorted array."""
-    if not streams:
-        return np.empty(0)
-    return np.sort(np.concatenate([np.asarray(s, dtype=float) for s in streams]))

@@ -16,7 +16,7 @@ probability, producing the 22:00 cliff of Fig. 5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -67,10 +67,6 @@ class SessionDurationModel:
             )
         return np.maximum(out, self.min_duration_s)
 
-    def mean_estimate(self, rng: np.random.Generator, n: int = 50_000) -> float:
-        """Monte-Carlo mean (the analytic mean diverges for alpha <= 1)."""
-        return float(np.mean(self.sample(rng, n)))
-
 
 @dataclass(frozen=True)
 class FixedDuration:
@@ -120,7 +116,3 @@ class ProgramSchedule:
                       ) -> "ProgramSchedule":
         """A schedule with exactly one program ending."""
         return cls(endings=((time_s, leave_probability),))
-
-    def events_in(self, t0: float, t1: float) -> Sequence[Tuple[float, float]]:
-        """Endings falling within ``[t0, t1)``."""
-        return [(t, p) for t, p in self.endings if t0 <= t < t1]

@@ -39,7 +39,6 @@ class _Viewer:
     user_id: int
     deadline: float
     attempts: int = 0
-    zaps: int = 0
     channel: int = -1
     #: the live session's node; None between sessions and once done
     node: Optional[PeerNode] = None
@@ -125,7 +124,6 @@ class ChannelAudience:
         if self.deployment.n_channels < 2:
             return
         if self._rng.random() < self.zap_probability:
-            viewer.zaps += 1
             self.zap_count += 1
             target = self._pick_channel(exclude=viewer.channel)
             node.on_session_end = None  # the zap handles the follow-up

@@ -1,12 +1,7 @@
-"""Tests for partner events and resource/bottleneck analysis."""
+"""Tests for partner events and the supply/demand snapshot."""
 
-import pytest
 
-from repro.analysis.resources import (
-    SupplyDemand,
-    supply_demand_snapshot,
-    utilization_by_class,
-)
+from repro.analysis.resources import SupplyDemand, supply_demand_snapshot
 from repro.analysis.streaming import PartnerEventsFold, fold_log
 from repro.telemetry.reports import PartnerEvent, PartnerOp, PartnerReport
 from repro.telemetry.server import LogServer
@@ -37,22 +32,10 @@ class TestPartnerEvents:
 
 
 class TestSupplyDemand:
-    def test_ratio_and_verdicts(self):
+    def test_supply_sums_servers_and_reachable_peers(self):
         sd = SupplyDemand(time=0.0, demand_bps=100.0, server_supply_bps=90.0,
                           peer_supply_bps=40.0, raw_peer_supply_bps=80.0)
         assert sd.supply_bps == 130.0
-        assert sd.ratio == pytest.approx(1.3)
-        assert sd.bottleneck == "none"
-
-    def test_tight_and_capacity_verdicts(self):
-        tight = SupplyDemand(0.0, 100.0, 60.0, 50.0, 70.0)
-        assert tight.bottleneck == "tight"
-        starved = SupplyDemand(0.0, 100.0, 30.0, 20.0, 40.0)
-        assert starved.bottleneck == "capacity"
-
-    def test_idle_system_infinite_ratio(self):
-        sd = SupplyDemand(0.0, 0.0, 10.0, 0.0, 0.0)
-        assert sd.ratio == float("inf")
 
     def test_snapshot_from_live_system(self, populated_system):
         sd = supply_demand_snapshot(populated_system)
@@ -65,14 +48,9 @@ class TestSupplyDemand:
         )
         assert 0.0 < sd.peer_supply_bps <= sd.raw_peer_supply_bps
 
-    def test_utilization_shares_sum_to_one(self, populated_system):
-        util = utilization_by_class(populated_system)
-        total_share = sum(share for _bits, share in util.values())
-        assert total_share == pytest.approx(1.0)
-
     def test_servers_carry_most_bits_in_small_system(self, populated_system):
-        from repro.network.connectivity import ConnectivityClass
-
-        util = utilization_by_class(populated_system)
-        server_share = util.get(ConnectivityClass.SERVER, (0.0, 0.0))[1]
-        assert server_share > 0.2
+        total = sum(n.scheduler.bits_uploaded
+                    for n in populated_system.all_streaming_nodes())
+        servers = sum(s.scheduler.bits_uploaded
+                      for s in populated_system.servers)
+        assert servers > 0.2 * total

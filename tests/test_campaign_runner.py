@@ -7,7 +7,6 @@ from repro.campaign import (
     run_campaign,
     sweep,
     to_replication,
-    sweep_series,
     write_metrics_json,
 )
 from repro.campaign.registry import (
@@ -175,15 +174,6 @@ class TestAggregation:
         assert via_campaign.seeds == sequential.seeds
         assert via_campaign.samples == sequential.samples
         assert via_campaign.summaries == sequential.summaries
-
-    def test_sweep_series_orders_and_aggregates(self, tmp_path):
-        spec = sweep(QUICK, seeds=[0, 1],
-                     grid={"offset": [4.0, 2.0]}, code_version=None)
-        report = run_campaign(spec, ResultStore(tmp_path), jobs=1)
-        xs, summaries = sweep_series(report, "offset", "value")
-        assert xs == [2.0, 4.0]
-        assert summaries[0].mean == pytest.approx(12.5)  # seeds 0,1 + 2.0
-        assert summaries[1].mean == pytest.approx(14.5)
 
     def test_write_metrics_json_artifact(self, tmp_path):
         import json

@@ -159,10 +159,8 @@ class TestResultStore:
     def test_put_get_roundtrip(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         key = "ab" + "0" * 62
-        assert not store.has(key)
         assert store.get(key) is None
         store.put(key, {"metrics": {"m": 1.5}}, {"seed": 7})
-        assert store.has(key)
         assert store.get(key) == {"metrics": {"m": 1.5}}
         assert json.loads(store.manifest_path(key).read_text())["seed"] == 7
         assert list(store.keys()) == [key]

@@ -15,17 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import check_source
+from repro.check import all_rules, check_source
 
 FIXTURES = Path(__file__).parent / "check_fixtures"
 
 #: virtual location fixtures are checked "at" (inside the scanned tree,
 #: outside every allowlist)
 VIRTUAL = "src/repro/fixture_under_check.py"
-
-RULES = ["DET001", "DET002", "DET003", "FLT001", "CFG001",
-         "ASY001", "ASY002", "ASY003", "SCH001", "UNIT001",
-         "OBS001"]
 
 #: how many findings the violations fixture of each rule must produce
 EXPECTED_VIOLATIONS = {
@@ -41,6 +37,12 @@ EXPECTED_VIOLATIONS = {
     "UNIT001": 5,  # blocks+s, s-blocks, kbps+bps, ms+=s, attr s+blocks
     "OBS001": 2,   # .get() miss + membership-probe miss
 }
+
+RULES = sorted(EXPECTED_VIOLATIONS)
+
+
+def test_every_registered_rule_has_a_fixture_triple():
+    assert set(RULES) == {r.id for r in all_rules()}
 
 
 def check_fixture(name: str, path: str = VIRTUAL):

@@ -84,11 +84,6 @@ class TestCooldown:
         with pytest.raises(ValueError):
             CooldownTimer(-1.0)
 
-    def test_last_adaptation_recorded(self):
-        timer = CooldownTimer(5.0)
-        timer.fire(42.0)
-        assert timer.last_adaptation == 42.0
-
 
 class TestQualification:
     def test_advanced_partner_qualifies(self, geometry):

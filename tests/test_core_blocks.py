@@ -10,7 +10,7 @@ from repro.core.blocks import StreamGeometry
 class TestFraming:
     def test_round_robin_assignment(self):
         g = StreamGeometry(4)
-        assert [g.substream_of(s) for s in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
+        assert [g.local_index(s) for s in range(8)] == [0, 0, 0, 0, 1, 1, 1, 1]
 
     def test_local_index(self):
         g = StreamGeometry(4)
@@ -19,65 +19,27 @@ class TestFraming:
         assert g.local_index(4) == 1
         assert g.local_index(11) == 2
 
-    def test_global_seq_inverse(self):
-        g = StreamGeometry(3)
-        assert g.global_seq(2, 5) == 17
-
     def test_single_substream_degenerates_to_identity(self):
         g = StreamGeometry(1)
-        assert g.substream_of(42) == 0
         assert g.local_index(42) == 42
-        assert g.global_seq(0, 42) == 42
 
     def test_negative_seq_rejected(self):
         g = StreamGeometry(4)
         with pytest.raises(ValueError):
-            g.substream_of(-1)
-        with pytest.raises(ValueError):
             g.local_index(-1)
-
-    def test_bad_substream_rejected(self):
-        g = StreamGeometry(4)
-        with pytest.raises(ValueError):
-            g.global_seq(4, 0)
-        with pytest.raises(ValueError):
-            g.global_seq(-1, 0)
-
-    def test_negative_local_index_rejected(self):
-        with pytest.raises(ValueError):
-            StreamGeometry(4).global_seq(0, -1)
-
-    @given(k=st.integers(1, 16), seq=st.integers(0, 10**9))
-    @settings(max_examples=200, deadline=None)
-    def test_property_roundtrip(self, k, seq):
-        g = StreamGeometry(k)
-        assert g.global_seq(g.substream_of(seq), g.local_index(seq)) == seq
 
     @given(k=st.integers(1, 16), sub=st.integers(0, 15), idx=st.integers(0, 10**6))
     @settings(max_examples=200, deadline=None)
     def test_property_inverse_roundtrip(self, k, sub, idx):
+        """``local_index`` inverts the round-robin framing ``s = idx*K + sub``
+        (the conversion ``BufferMap.from_local_heads`` inlines)."""
         if sub >= k:
             return
         g = StreamGeometry(k)
-        s = g.global_seq(sub, idx)
-        assert g.substream_of(s) == sub
-        assert g.local_index(s) == idx
+        assert g.local_index(idx * k + sub) == idx
 
 
 class TestTiming:
-    def test_deadline_of_start_block(self):
-        g = StreamGeometry(4)
-        assert g.deadline(100, playout_origin_s=50.0, playout_start_seq=100) == 50.0
-
-    def test_deadline_advances_at_global_rate(self):
-        g = StreamGeometry(4, block_seconds=1.0)
-        # 4 blocks ahead = 1 second later
-        assert g.deadline(104, 50.0, 100) == pytest.approx(51.0)
-
-    def test_global_block_rate(self):
-        assert StreamGeometry(4, block_seconds=1.0).blocks_per_second_global() == 4.0
-        assert StreamGeometry(2, block_seconds=0.5).blocks_per_second_global() == 4.0
-
     def test_live_edge(self):
         g = StreamGeometry(4)
         assert g.live_edge_local(0.0) == -1
@@ -88,5 +50,3 @@ class TestTiming:
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
             StreamGeometry(0)
-        with pytest.raises(ValueError):
-            StreamGeometry(4, block_seconds=0.0)

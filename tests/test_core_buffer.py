@@ -108,18 +108,6 @@ class TestSyncBuffer:
 
 
 class TestCacheBuffer:
-    def test_window_bounds(self):
-        cache = CacheBuffer(window=10)
-        assert cache.oldest_available(head=20) == 11
-        assert cache.available(20, 11)
-        assert cache.available(20, 20)
-        assert not cache.available(20, 10)
-        assert not cache.available(20, 21)
-
-    def test_window_clamped_at_zero(self):
-        cache = CacheBuffer(window=10)
-        assert cache.oldest_available(head=3) == 0
-
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
             CacheBuffer(window=0)
@@ -137,7 +125,6 @@ class TestBufferMap:
     def test_max_min_heads(self):
         bm = BufferMap(heads=(10, 25, 8, 9), subscriptions=(False,) * 4)
         assert bm.max_head == 25  # the "m" of Section IV.A
-        assert bm.min_head == 8   # the "n"
 
     def test_empty_heads_are_minus_one(self):
         bm = BufferMap(heads=(-1, -1), subscriptions=(False, False))

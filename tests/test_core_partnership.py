@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.buffer import BufferMap
-from repro.core.partnership import Direction, PartnershipManager, PartnerState
+from repro.core.partnership import Direction, PartnershipManager
 
 
 def bm(*heads):
@@ -53,11 +53,10 @@ class TestMembership:
 class TestDirectionCounters:
     def test_incoming_counter_feeds_classifier(self):
         pm = PartnershipManager(owner_id=1, max_partners=8)
-        assert not pm.has_incoming()
+        assert pm.total_incoming_ever == 0
         pm.add(2, Direction.OUTGOING, now=0.0)
-        assert not pm.has_incoming()
+        assert pm.total_incoming_ever == 0
         pm.add(3, Direction.INCOMING, now=0.0)
-        assert pm.has_incoming()
         assert pm.total_incoming_ever == 1
         assert pm.total_outgoing_ever == 1
 
@@ -66,7 +65,7 @@ class TestDirectionCounters:
         pm = PartnershipManager(owner_id=1, max_partners=8)
         pm.add(2, Direction.INCOMING, now=0.0)
         pm.remove(2)
-        assert pm.has_incoming()
+        assert pm.total_incoming_ever == 1
 
 
 class TestBufferMaps:
@@ -104,9 +103,11 @@ class TestBufferMaps:
 
 class TestStaleness:
     def test_bm_age_inf_before_first_bm(self):
-        state = PartnerState(node_id=2, direction=Direction.OUTGOING,
-                             established_at=0.0)
-        assert state.bm_age(now=100.0) == float("inf")
+        """A partner that never sent a BM is infinitely old: stale once its
+        establishment grace period is over."""
+        pm = PartnershipManager(owner_id=1, max_partners=4)
+        pm.add(2, Direction.OUTGOING, now=0.0)
+        assert pm.stale_partners(now=7.5, timeout_s=7.0) == [2]
 
     def test_fresh_partner_grace_period(self):
         """A just-established partnership is not stale even without a BM."""

@@ -32,7 +32,7 @@ class TestSubscriptions:
         sched.subscribe(7, 2, 5, now=0.0)
         sched.subscribe(7, 2, 9, now=1.0)
         assert sched.substream_degree == 1
-        assert sched.connections()[0].next_index == 9
+        assert [c.next_index for c in sched.drop_child(7)] == [9]
 
     def test_unsubscribe(self):
         sched = UploadScheduler(10.0, 1.0, 1.0)
@@ -49,14 +49,6 @@ class TestSubscriptions:
         dropped = sched.drop_child(7)
         assert len(dropped) == 4
         assert sched.children() == {8}
-
-    def test_degree_for_substream(self):
-        sched = UploadScheduler(10.0, 1.0, 1.0)
-        sched.subscribe(1, 0, 0, now=0.0)
-        sched.subscribe(2, 0, 0, now=0.0)
-        sched.subscribe(3, 1, 0, now=0.0)
-        assert sched.degree_for_substream(0) == 2
-        assert sched.degree_for_substream(1) == 1
 
     def test_negative_from_index_clamped(self):
         sched = UploadScheduler(10.0, 1.0, 1.0)

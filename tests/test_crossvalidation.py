@@ -67,7 +67,7 @@ def folded(logs):
 class TestCrossValidation:
     def test_both_engines_get_everyone_playing(self, folded):
         for table, _samples in folded:
-            ready = [s for s in table if s.started_playback]
+            ready = [s for s in table if s.ready_time is not None]
             assert len(ready) >= 0.9 * N_USERS
 
     def test_continuity_agrees(self, folded):

@@ -3,7 +3,9 @@
 Every rewrite here must be invisible: the same index from the same stream
 position for a single weighted draw, the same buffer-map and mCache-entry
 values, the same bootstrap sample, the same pushes and credits from a
-delivery quantum.  The replaced implementations are kept below as oracles.
+delivery quantum, the same sub-stream re-selected by the control tick's
+inlined Inequalities (1)/(2).  The replaced implementations are kept below
+as oracles.
 """
 
 import pickle
@@ -15,9 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.adaptation import inequality1_ok, inequality2_ok, substream_lag
 from repro.core.blocks import StreamGeometry
 from repro.core.buffer import BufferMap, SyncBuffer
 from repro.core.membership import MCache, MCacheEntry, make_entry
+from repro.core.node import PeerNode
+from repro.core.partnership import Direction, PartnershipManager
 from repro.core.source import BootstrapNode
 from repro.core.stream import UploadScheduler
 from repro.network.capacity import CapacityModel, CapacityProfile
@@ -395,7 +400,6 @@ def deliver_oracle(sched, dt, parent_heads, window, push):
                 first = conn.next_index
                 conn.next_index = first + n
                 credit -= n
-                conn.blocks_sent += n
                 bits_this_quantum += n * block_bits
                 push(conn, first, first + n - 1)
         if credit > 2.0:
@@ -424,8 +428,8 @@ def _run_both(upload, subs, quanta, window, dead=frozenset()):
         for dt, heads in quanta:
             bits = deliver(sched, dt, heads, window, push)
             trace.append((bits, sched.last_saturated, sched.bits_uploaded,
-                          [(c.child_id, c.substream, c.next_index, c.credit,
-                            c.blocks_sent) for c in sched.connections()]))
+                          [(c.child_id, c.substream, c.next_index, c.credit)
+                           for c in sched._conns.values()]))
         states.append((pushes, trace))
     return states
 
@@ -489,3 +493,87 @@ class TestEvictionHoleBridge:
         one.receive_range(head + 1, last)
         assert (one.head, one.count, one.pending) == (two.head, two.count,
                                                       two.pending)
+
+
+# ---------------------------------------------------------------------------
+# the adaptation check
+# ---------------------------------------------------------------------------
+def adaptation_choice_oracle(heads, parents, partners, geometry, ts, tp):
+    """The sub-stream ``PeerNode._adaptation_check`` re-selects, from the
+    reference rules of ``core.adaptation``: the violator of Inequality (1)
+    or (2) that lags the most (the first on ties); None when none does."""
+    best = max((max(s.bm.heads) for s in partners.states()
+                if s.bm is not None), default=-1)
+    best_local = -1 if best < 0 else geometry.local_index(best)
+    worst = None
+    for sub, parent in enumerate(parents):
+        if parent is None:
+            continue
+        state = partners.get(parent)
+        bm = None if state is None else state.bm
+        parent_head = -1 if bm is None else bm.head_local(sub, geometry)
+        if (inequality1_ok(heads, sub, ts)
+                and inequality2_ok(parent_head, best_local, tp)):
+            continue
+        if worst is None or (substream_lag(heads, sub)
+                             > substream_lag(heads, worst)):
+            worst = sub
+    return worst
+
+
+def _adaptation_choice(heads, parents, partner_heads, geometry, ts, tp):
+    """Run ``PeerNode._adaptation_check`` on a stub node whose partners
+    have the given local heads (None: partnered, no BM yet); returns the
+    sub-streams handed to ``_reselect_parent`` and the partner set."""
+    partners = PartnershipManager(owner_id=0, max_partners=8)
+    for pid, local in partner_heads.items():
+        partners.add(pid, Direction.OUTGOING, now=0.0)
+        if local is not None:
+            partners.record_bm(
+                pid, BufferMap.from_local_heads(local, geometry), now=1.0)
+    chosen = []
+    node = SimpleNamespace(
+        sync=SyncBuffer(0), cfg=SimpleNamespace(ts_seconds=ts, tp_seconds=tp),
+        partners=partners, geometry=geometry, heads=list(heads),
+        parents=list(parents), _reselect_parent=chosen.append)
+    PeerNode._adaptation_check(node)
+    return chosen, partners
+
+
+class TestAdaptationCheck:
+    thresholds = st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.5, 8.0])
+
+    @given(k=st.integers(1, 4), ts=thresholds, tp=thresholds, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_inequalities(self, k, ts, tp, data):
+        geometry = StreamGeometry(k)
+        local_heads = st.lists(st.integers(-1, 12), min_size=k, max_size=k)
+        heads = data.draw(local_heads)
+        # partner ids 1-5 (an id may be a parent without being a partner)
+        partner_heads = data.draw(st.dictionaries(
+            st.integers(1, 5), st.none() | local_heads, max_size=5))
+        parents = data.draw(st.lists(st.none() | st.integers(1, 5),
+                                     min_size=k, max_size=k))
+        chosen, partners = _adaptation_choice(heads, parents, partner_heads,
+                                              geometry, ts, tp)
+        expected = adaptation_choice_oracle(heads, parents, partners,
+                                            geometry, ts, tp)
+        assert chosen == ([] if expected is None else [expected])
+
+    @pytest.mark.parametrize("heads, partner_heads, expected", [
+        # Inequality (1) alone: sub-stream 1 lags our own best by T_s
+        ([10, 6], {1: [10, 10], 2: [10, 10]}, [1]),
+        # Inequality (2) alone: sub-stream 0's parent lags partner 2 by T_p
+        ([10, 10], {1: [5, 10], 2: [10, 10]}, [0]),
+        # both hold, one block inside each threshold
+        ([10, 7], {1: [10, 10], 2: [14, 14]}, []),
+        # the larger own lag wins when both sub-streams violate
+        ([3, 9], {1: [3, 9], 2: [20, 20]}, [0]),
+    ])
+    def test_threshold_cases(self, heads, partner_heads, expected):
+        geometry = StreamGeometry(2)
+        chosen, partners = _adaptation_choice(heads, [1, 1], partner_heads,
+                                              geometry, ts=4.0, tp=5.0)
+        oracle = adaptation_choice_oracle(heads, [1, 1], partners, geometry,
+                                          ts=4.0, tp=5.0)
+        assert chosen == expected == ([] if oracle is None else [oracle])

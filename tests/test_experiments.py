@@ -4,7 +4,6 @@
 from repro.experiments import table1, validate_dynamics_equations
 from repro.experiments.render import (
     FigureResult,
-    render_cdf_table,
     render_series,
     render_table,
     sparkline,
@@ -48,10 +47,6 @@ class TestSparkline:
     def test_render_series_contains_extremes(self):
         out = render_series("x", [0, 1, 2], [1.0, 5.0, 3.0])
         assert "min=1" in out and "max=5" in out
-
-    def test_render_cdf_table(self):
-        out = render_cdf_table("T", [1.0, 2.0], [0.25, 1.0])
-        assert "0.250" in out and "1.000" in out
 
 
 class TestFigureResult:

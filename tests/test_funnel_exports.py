@@ -25,17 +25,6 @@ class TestJoinFunnel:
         with pytest.raises(ValueError):
             JoinFunnel(joined=1, subscribed=2, ready=0, completed=0)
 
-    def test_rates(self):
-        f = JoinFunnel(joined=10, subscribed=8, ready=4, completed=2)
-        assert f.subscription_rate == 0.8
-        assert f.ready_rate == 0.4
-        assert f.buffering_survival == 0.5
-
-    def test_empty_funnel_nan_rates(self):
-        import math
-        f = JoinFunnel(0, 0, 0, 0)
-        assert math.isnan(f.ready_rate)
-
     def test_rows_table(self):
         f = JoinFunnel(joined=4, subscribed=2, ready=1, completed=1)
         rows = f.rows()
@@ -65,8 +54,7 @@ class TestJoinFunnel:
     def test_real_run_funnel_sane(self, populated_system):
         (f,) = fold_log(populated_system.log, JoinFunnelFold())
         assert f.joined >= 15
-        assert 0.5 <= f.ready_rate <= 1.0
-        assert f.buffering_survival >= f.ready_rate
+        assert 0.5 * f.joined <= f.ready <= f.subscribed <= f.joined
 
 
 class TestFigureExports:
@@ -86,9 +74,3 @@ class TestFigureExports:
     def test_to_json_roundtrip(self):
         back = json.loads(self.make().to_json())
         assert back["metrics"]["beta"] == 0.25
-
-    def test_metrics_csv(self):
-        csv = self.make().metrics_csv()
-        lines = csv.strip().splitlines()
-        assert lines[0] == "metric,value"
-        assert "alpha,1.5" in lines

@@ -165,11 +165,6 @@ class TestConvergenceModel:
             model.stationary_stable_fraction(), abs=0.01
         )
 
-    def test_rounds_to_converge(self):
-        model = ConvergenceModel(0.5, 0.02, 0.5)
-        rounds = model.rounds_to_converge(0.0, tolerance=0.05)
-        assert 0 < rounds < 200
-
     def test_frozen_chain_reports_pick_probability(self):
         model = ConvergenceModel(0.7, 0.0, 0.0)
         assert model.stationary_stable_fraction() == 0.7

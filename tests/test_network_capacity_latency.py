@@ -71,13 +71,6 @@ class TestCapacityModel:
         assert (ups[:3] == 100_000_000.0).all()
         assert (ups[3:] < 1_000_000.0).all()
 
-    def test_download_factor(self):
-        model = CapacityModel(download_factor=4.0)
-        assert model.download_for(1000.0) == 4000.0
-
-    def test_nonpositive_download_factor_rejected(self):
-        with pytest.raises(ValueError):
-            CapacityModel(download_factor=0.0)
 
     def test_scaled_model(self, rng):
         model = CapacityModel().scaled(0.5)

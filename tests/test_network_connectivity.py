@@ -34,10 +34,6 @@ class TestClasses:
             ConnectivityClass.SERVER,
         }
 
-    def test_accepts_incoming_property_matches_function(self):
-        for c in ConnectivityClass:
-            assert c.accepts_incoming == can_accept_incoming(c)
-
 
 class TestEstablishment:
     @pytest.mark.parametrize("initiator", list(ConnectivityClass))

@@ -29,7 +29,6 @@ class TestMetricSummary:
         assert s.mean == 2.0
         assert s.min == 1.0 and s.max == 3.0
         assert s.n == 3
-        assert s.spread == 2.0
         assert s.std == pytest.approx(1.0)
 
     def test_single_sample_zero_std(self):
@@ -46,17 +45,6 @@ class TestMetricSummary:
         s = MetricSummary.from_samples("m", [float("nan")])
         assert s.n == 0
         assert math.isnan(s.mean)
-
-    def test_spread_is_nan_when_empty(self):
-        """n == 0 must yield NaN spread, not a misleading 0 or a
-        nan-arithmetic surprise."""
-        s = MetricSummary.from_samples("m", [])
-        assert s.n == 0
-        assert math.isnan(s.spread)
-        assert math.isnan(MetricSummary.from_samples("m", [float("nan")]).spread)
-
-    def test_spread_nonempty(self):
-        assert MetricSummary.from_samples("m", [1.0, 4.0]).spread == 3.0
 
     def test_to_dict(self):
         d = MetricSummary.from_samples("m", [1.0, 3.0]).to_dict()

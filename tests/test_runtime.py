@@ -156,17 +156,25 @@ class TestRunScenario:
 
 
 
+def sessions_by_user(table):
+    """The session table's sessions grouped by user id."""
+    by_user = {}
+    for s in table.sessions():
+        by_user.setdefault(s.user_id, []).append(s)
+    return by_user
+
+
 def success_fraction_from_log(log) -> float:
     """Fraction of logged users with any session reaching playback, read
     off the log's session table (the oracle for the fluid engine's own
     count)."""
     (table,) = fold_log(log, SessionTableFold())
-    by_user = table.sessions_per_user()
+    by_user = sessions_by_user(table)
     if not by_user:
         return float("nan")
     ok = sum(
         1 for sessions in by_user.values()
-        if any(s.started_playback for s in sessions)
+        if any(s.ready_time is not None for s in sessions)
     )
     return ok / len(by_user)
 
@@ -183,10 +191,10 @@ class TestFluidSuccessFraction:
         assert got == success_fraction_from_log(res.log)
         # the run exercises every path the count must get right
         (table,) = fold_log(res.log, SessionTableFold())
-        by_user = table.sessions_per_user()
+        by_user = sessions_by_user(table)
         assert len(table) > len(by_user)  # retries
         assert any(  # a user who played, stalled out and played again
-            sum(s.started_playback for s in sessions) > 1
+            sum(s.ready_time is not None for s in sessions) > 1
             for sessions in by_user.values())
         assert any(s.leave_reason is LeaveReason.PROGRAM_END
                    for s in table.sessions())

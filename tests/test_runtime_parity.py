@@ -66,8 +66,8 @@ class TestRunParity:
     def test_report_structure_and_render(self):
         report = run_parity(tiny_scenario(), seed=0, keep_results=True)
         assert {c.name for c in report.comparisons} == set(DEFAULT_TOLERANCES)
-        assert report.detailed_result.engine == "detailed"
-        assert report.fast_result.engine == "fast"
+        assert report.results["detailed"].engine == "detailed"
+        assert report.results["fast"].engine == "fast"
         text = report.render()
         assert "detailed vs fast" in text
         assert ("PARITY OK" in text) or ("PARITY FAILED" in text)
@@ -75,14 +75,14 @@ class TestRunParity:
 
     def test_identical_workload_feeds_both_engines(self):
         report = run_parity(tiny_scenario(), seed=0, keep_results=True)
-        w_det = report.detailed_result.workload
-        w_fast = report.fast_result.workload
+        w_det = report.results["detailed"].workload
+        w_fast = report.results["fast"].workload
         assert w_det.times.tobytes() == w_fast.times.tobytes()
         assert w_det.durations.tobytes() == w_fast.durations.tobytes()
 
     def test_paper_metrics_keys(self):
         report = run_parity(tiny_scenario(), seed=0, keep_results=True)
-        m = paper_metrics(report.detailed_result.log, 150.0)
+        m = paper_metrics(report.results["detailed"].log, 150.0)
         assert set(m) == set(DEFAULT_TOLERANCES)
         assert m["peak_concurrent_users"] >= 1
         assert (math.isnan(m["mean_continuity"])
@@ -90,8 +90,7 @@ class TestRunParity:
 
     def test_results_dropped_by_default(self):
         report = run_parity(tiny_scenario(), seed=0)
-        assert report.detailed_result is None
-        assert report.fast_result is None
+        assert report.results == {}
 
 
 class TestParityCli:

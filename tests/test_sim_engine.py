@@ -243,11 +243,6 @@ class TestPeriodicTask:
         eng.run(until=100.0)
         assert times_a != times_b
 
-    def test_period_property(self):
-        eng = Engine()
-        task = PeriodicTask(eng, 3.5, lambda: None)
-        assert task.period == 3.5
-
 
 class TestDeterminism:
     def test_identical_runs_produce_identical_traces(self):
