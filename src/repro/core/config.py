@@ -64,7 +64,6 @@ class SystemConfig:
     player_buffer_s: float = 12.0       # contiguous seconds needed for
                                         # "media player ready" (Fig. 6 shows
                                         # a 10-20 s buffering wait)
-    playout_delay_s: float = 0.0        # extra startup delay after ready
 
     # --- user behaviour ---------------------------------------------------
     join_patience_s: float = 45.0       # give up joining after this long
@@ -113,8 +112,6 @@ class SystemConfig:
             raise ValueError("gossip_fanout must be >= 1")
         if not self.delivery_interval_s > 0:
             raise ValueError("delivery_interval_s must be positive")
-        if not self.playout_delay_s >= 0:
-            raise ValueError("playout_delay_s must be non-negative")
         if not self.join_patience_s > 0:
             raise ValueError("join_patience_s must be positive")
         if not self.max_join_retries >= 0:

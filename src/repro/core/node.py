@@ -667,7 +667,7 @@ class PeerNode:
         (Section IV.B): competition plays out in the water-filling."""
         if not self.alive:
             return
-        self.scheduler.subscribe(child_id, substream, from_index, self.engine.now)
+        self.scheduler.subscribe(child_id, substream, from_index)
 
     def rpc_unsubscribe(self, child_id: int, substream: int) -> None:
         """A child stops pulling one of our sub-streams."""
@@ -721,7 +721,7 @@ class PeerNode:
         if combined - self.start_index >= self.cfg.player_buffer_s:
             self.state = NodeState.PLAYING
             self.player_ready_at = self.engine.now
-            self.playback.start(self.engine.now + self.cfg.playout_delay_s)
+            self.playback.start()
             self.reporter.activity(ActivityEvent.PLAYER_READY, attempt=self.attempt)
 
     def _push(self, conn: SubscriptionConn, first: int, last: int) -> None:

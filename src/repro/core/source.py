@@ -76,7 +76,7 @@ class SourceNode:
         child = self.system.get_node(child_id)
         if child is None or not getattr(child, "is_server", False):
             return  # only dedicated servers may pull from the source
-        self.scheduler.subscribe(child_id, substream, from_index, self.engine.now)
+        self.scheduler.subscribe(child_id, substream, from_index)
         if child_id not in self._children:
             self._children.append(child_id)
 

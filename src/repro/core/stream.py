@@ -45,7 +45,6 @@ class SubscriptionConn:
     substream: int
     next_index: int
     credit: float = 0.0
-    started_at: float = 0.0
 
 
 class UploadScheduler:
@@ -85,8 +84,8 @@ class UploadScheduler:
         self.last_saturated = False
 
     # --- subscription management ------------------------------------------
-    def subscribe(self, child_id: int, substream: int, from_index: int,
-                  now: float) -> SubscriptionConn:
+    def subscribe(self, child_id: int, substream: int,
+                  from_index: int) -> SubscriptionConn:
         """Open (or re-point) the connection pushing ``substream`` to
         ``child_id`` starting at local block ``from_index``.
 
@@ -97,7 +96,7 @@ class UploadScheduler:
         key = (child_id, substream)
         conn = SubscriptionConn(
             child_id=child_id, substream=substream,
-            next_index=max(0, int(from_index)), started_at=now,
+            next_index=max(0, int(from_index)),
         )
         self._conns[key] = conn
         return conn
@@ -230,7 +229,7 @@ class PlaybackState:
     """
 
     __slots__ = (
-        "k", "start_index", "position", "playing", "started_at", "blocks_due",
+        "k", "start_index", "position", "playing", "blocks_due",
         "blocks_missed", "_window_due", "_window_missed", "_watch_due",
         "_watch_missed", "_holes",
     )
@@ -242,7 +241,6 @@ class PlaybackState:
         self.start_index = int(start_index)
         self.position = float(start_index)  # local-block playout pointer
         self.playing = False
-        self.started_at: Optional[float] = None
         self.blocks_due = 0
         self.blocks_missed = 0
         self._window_due = 0
@@ -251,10 +249,9 @@ class PlaybackState:
         self._watch_missed = 0
         self._holes: List[Hole] = []
 
-    def start(self, now: float) -> None:
+    def start(self) -> None:
         """Start of the contiguous range."""
         self.playing = True
-        self.started_at = now
 
     def add_hole(self, substream: int, first: int, last: int) -> None:
         """Record a gap of permanently missing blocks."""

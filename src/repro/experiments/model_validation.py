@@ -54,10 +54,10 @@ def _simulate_transfer(
     # the parent is `deficit_blocks` ahead of the measured child at t=0
     parent_head = float(deficit_blocks)
     heads = {}
-    sched.subscribe(0, 0, 1, now=0.0)
+    sched.subscribe(0, 0, 1)
     heads[0] = 0
     for c in range(1, n_children):
-        sched.subscribe(c, 0, deficit_blocks + 1, now=0.0)
+        sched.subscribe(c, 0, deficit_blocks + 1)
         heads[c] = deficit_blocks
 
     t = 0.0
@@ -114,7 +114,7 @@ def validate_dynamics_equations(*, seed: int = 0) -> FigureResult:
         # measure: d_p + 1 caught-up children on a d_p-slot parent
         sched = UploadScheduler(slots, 1.0, 1.0)
         for c in range(d_p + 1):
-            sched.subscribe(c, 0, 1, now=0.0)
+            sched.subscribe(c, 0, 1)
         delivered = {c: 0 for c in range(d_p + 1)}
 
         def push(conn, first, last):

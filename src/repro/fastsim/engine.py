@@ -43,11 +43,44 @@ Set ``REPRO_PROFILE_PHASES=1`` (or flip :attr:`FastSimulation.
 phase_timing`) to accumulate per-phase wall-clock into
 :data:`PHASE_TOTALS` -- ``python -m repro profile --engine fast`` uses
 this for its phase breakdown table.
+
+Layout rules.  Per-slot state is ``(cap, k)`` C-order arrays, and the
+step reaches numpy only through its fast paths:
+
+* no ``axis=`` reduction over the short sub-stream (or candidate) axis:
+  ``_max_last`` and its siblings fold the k columns with k-1 elementwise
+  ufunc calls (the float sum falls back to numpy from 8 terms on, where
+  numpy's unrolled summation rounds differently).  ``argmax`` stays
+  numpy's: by columns it measured slower;
+* row gathers are ``np.take(a, idx, axis=0)``, never ``a[idx, :]``;
+* live connections are one ``np.flatnonzero`` over ``parent[:hi] >= 0``
+  per step; the parent and both heads are read through that flat index
+  once, and element pairs are addressed as ``row * k + col`` in the
+  raveled arrays, never as ``a[rows, cols]``;
+* every per-step scan, scatter and ``np.bincount`` stops at the
+  high-water mark ``_hi`` (one more than the highest slot ever
+  allocated), not at the capacity.
+
+Microbenchmarks behind these rules (numpy 2.4.6, CPython 3.11.7,
+2 vCPUs, microseconds per call):
+
+=================================  ================  ======  =================================  ======
+replaced                           shape             us      by                                 us
+=================================  ================  ======  =================================  ======
+``a.min(axis=1)``                  (12000, 4) f8        613  ``np.minimum`` over the 4 columns      20
+``c.max(axis=2)``                  (6000, 10, 4) f8   3,254  ``np.maximum`` over the 4 columns     629
+``b.nonzero()``                    (33398, 4) bool    1,179  ``np.flatnonzero``, ``// k``          120
+``b.any(axis=1)``                  (33398, 4) bool    ~1000  by columns                            160
+``H[cand, :]``                     cand (3000, 10)      363  ``np.take(H, cand, axis=0)``           47
+``H[rows, cols]``                  48k pairs            191  ``H.ravel()[flat]``                   103
+``keys.argmax(axis=1)``            (6000, 10, 4)      1,437  by columns (kept numpy's)           1,718
+=================================  ================  ======  =================================  ======
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import os
 from dataclasses import dataclass
 from time import perf_counter
@@ -81,11 +114,11 @@ __all__ = [
 # lifecycle states
 _EMPTY, _JOINING, _BUFFERING, _PLAYING, _LEFT = 0, 1, 2, 3, 4
 
-_CONTRIBUTOR = {
-    int(ConnectivityClass.DIRECT),
-    int(ConnectivityClass.UPNP),
-    int(ConnectivityClass.SERVER),
-}
+# per-class flags, indexed by class value (the classes number 0, 1, ...)
+_PUBLIC_CLASS = np.array(
+    [c.has_public_address for c in sorted(ConnectivityClass)])
+_CONTRIBUTOR_CLASS = np.array(
+    [c.is_contributor_class for c in sorted(ConnectivityClass)])
 
 #: Step phases, in execution order (keys of the timing breakdown).
 PHASE_NAMES: Tuple[str, ...] = (
@@ -104,6 +137,56 @@ PHASE_TIMING_ENV = "REPRO_PROFILE_PHASES"
 def reset_phase_totals() -> None:
     """Zero the process-wide phase-timing accumulator."""
     PHASE_TOTALS.clear()
+
+
+# Reductions over a short last axis (the k sub-streams, or the candidates
+# of one attempt), done as elementwise ufunc calls over its columns:
+# numpy's ``axis=`` reductions take a slow path there (module docstring).
+def _fold_last(op: np.ufunc, a: np.ndarray) -> np.ndarray:
+    n = a.shape[-1]
+    if n == 1:
+        return a[..., 0].copy()
+    out = op(a[..., 0], a[..., 1])
+    for j in range(2, n):
+        op(out, a[..., j], out=out)
+    return out
+
+
+def _max_last(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1)``."""
+    return _fold_last(np.maximum, a)
+
+
+def _min_last(a: np.ndarray) -> np.ndarray:
+    """``a.min(axis=-1)``."""
+    return _fold_last(np.minimum, a)
+
+
+def _any_last(a: np.ndarray) -> np.ndarray:
+    """``a.any(axis=-1)`` of a bool array."""
+    return _fold_last(np.logical_or, a)
+
+
+def _count_last(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)`` of a bool array (platform-int counts)."""
+    out = a[..., 0].astype(np.intp)
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out
+
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)`` of a float array, bit for bit.  Below 8 terms
+    numpy adds them one after another onto ``0.0``, which the column loop
+    repeats; from 8 on its unrolled pairwise summation rounds differently,
+    so those widths stay with numpy."""
+    n = a.shape[-1]
+    if n >= 8:
+        return a.sum(axis=-1)
+    out = a[..., 0] + 0.0
+    for j in range(1, n):
+        out += a[..., j]
+    return out
 
 
 @dataclass(frozen=True)
@@ -220,6 +303,10 @@ class FastSimulation:
         self.next_try = np.zeros(n0, dtype=np.float64)  # selection back-off
 
         self._free: List[int] = []
+        # one more than the highest slot ever allocated: every slot at or
+        # above it is EMPTY and holds no connection, so per-step scans,
+        # scatters and bincounts stop there instead of at the capacity
+        self._hi = 0
         self._next_session = 1
         self.sessions_spawned = 0
 
@@ -266,6 +353,7 @@ class FastSimulation:
             self.depart_at[slot] = np.inf
             self.public_addr[slot] = True
             self.is_contrib[slot] = True
+        self._hi = self.n_servers
         self._user_base = self.n_servers
 
     def _grow(self) -> None:
@@ -299,24 +387,23 @@ class FastSimulation:
 
     def _alloc_slots(self, n: int) -> np.ndarray:
         """Allocate ``n`` slots: free-list (LIFO) first, then the lowest
-        EMPTY slots beyond the servers, growing when exhausted -- the same
-        order a one-at-a-time allocation produces, so slot numbering (and
-        with it every logged node_id) is independent of batch boundaries
-        and of the capacity hint."""
-        out: List[int] = []
-        while self._free and len(out) < n:
-            out.append(self._free.pop())
-        need = n - len(out)
+        never-used slots, growing when exhausted -- the same order a
+        one-at-a-time allocation produces, so slot numbering (and with it
+        every logged node_id) is independent of batch boundaries and of
+        the capacity hint.  Every slot below :attr:`_hi` that is EMPTY is
+        on the free list, so the never-used slots start at ``_hi``."""
+        reuse = min(n, len(self._free))
+        out = np.empty(n, dtype=np.int64)
+        if reuse:
+            out[:reuse] = self._free[-reuse:][::-1]
+            del self._free[-reuse:]
+        need = n - reuse
         if need:
-            if out:
-                # reserve the free-list slots (still EMPTY) against the scan
-                self.state[np.asarray(out, dtype=np.int64)] = _LEFT
-            empties = np.nonzero(self.state[self.n_servers:] == _EMPTY)[0]
-            while empties.size < need:
+            while self._hi + need > self._cap:
                 self._grow()
-                empties = np.nonzero(self.state[self.n_servers:] == _EMPTY)[0]
-            out.extend(int(e) + self.n_servers for e in empties[:need])
-        return np.asarray(out, dtype=np.int64)
+            out[reuse:] = np.arange(self._hi, self._hi + need)
+            self._hi += need
+        return out
 
     # ------------------------------------------------------------------
     # workload API
@@ -384,13 +471,9 @@ class FastSimulation:
         slots = self._alloc_slots(n)
         rng = self._rng
         cfg = self.cfg
-        classes = np.fromiter(
-            (int(c) for c in self.mix.sample_many(n, rng)),
-            dtype=np.int64, count=n,
-        )
-        ups = self.capacity_model.sample_uploads(
-            [ConnectivityClass(int(c)) for c in classes], rng
-        )
+        drawn = self.mix.sample_many(n, rng)
+        classes = np.array(drawn, dtype=np.int64)
+        ups = self.capacity_model.sample_uploads(drawn, rng)
         self.state[slots] = _JOINING
         self.cls[slots] = classes
         self.upload_slots[slots] = ups / cfg.substream_rate_bps
@@ -416,11 +499,9 @@ class FastSimulation:
             0, cfg.status_report_period_s, n
         )
         self.ever_incoming[slots] = False
-        self.public_addr[slots] = np.isin(classes, (
-            int(ConnectivityClass.DIRECT), int(ConnectivityClass.FIREWALL),
-        ))
+        self.public_addr[slots] = _PUBLIC_CLASS[classes]
         self.next_watch[slots] = self.now + cfg.stall_window_s
-        self.is_contrib[slots] = np.isin(classes, list(_CONTRIBUTOR))
+        self.is_contrib[slots] = _CONTRIBUTOR_CLASS[classes]
         self.next_try[slots] = 0.0
         self._next_session += n
         self.sessions_spawned += n
@@ -439,16 +520,19 @@ class FastSimulation:
             silent = silent[live]
         if slots.size == 0:
             return
+        hi = self._hi
         # release our own subscriptions (parents regain child capacity)
-        par = self.parent[slots, :]
+        par = np.take(self.parent, slots, axis=0)
         held = par[par >= 0]
         if held.size:
-            self.children -= np.bincount(held, minlength=self._cap)
-        # orphan the children: their parent pointer dies; adaptation deals
-        leaving = np.zeros(self._cap, dtype=bool)
+            self.children[:hi] -= np.bincount(held, minlength=hi)
+        # orphan the children: their parent pointer dies; adaptation deals.
+        # ``leaving`` has one spare False entry at index ``hi``, which is
+        # where the -1 of every unused parent pointer lands
+        leaving = np.zeros(hi + 1, dtype=bool)
         leaving[slots] = True
-        orphan = (self.parent >= 0) & leaving[np.maximum(self.parent, 0)]
-        self.parent[orphan] = -1
+        parent = self.parent[:hi]
+        parent[np.take(leaving, parent)] = -1
         self.children[slots] = 0
         uids = self.user_id[slots]
         atts = self.attempt[slots]
@@ -465,35 +549,33 @@ class FastSimulation:
         self.state[slots] = _EMPTY
         self.parent[slots, :] = -1
         self.depart_at[slots] = np.inf
-        self._free.extend(int(s) for s in slots)
+        self._free.extend(slots.tolist())
         if retry and reason in (LeaveReason.IMPATIENCE, LeaveReason.FAILURE):
             draws = self._rng.random(slots.size)
-            played = ~np.isnan(self.ready_at[slots])
-            for i in range(slots.size):
-                att = int(atts[i])
-                if att > self.cfg.max_join_retries:
-                    continue
-                uid = int(uids[i])
-                self._retries_by_user[uid] = (
-                    self._retries_by_user.get(uid, 0) + 1
-                )
-                if played[i]:
-                    self._retried_after_playing.add(uid)
-                backoff = self.cfg.retry_backoff_s * (0.5 + float(draws[i]))
-                # keep the user's original departure deadline
-                heapq.heappush(
-                    self._pending_joins,
-                    (self.now + backoff, uid, att + 1, float("nan")),
-                )
+            again = atts <= self.cfg.max_join_retries
+            if not again.any():
+                return
+            retry_at = self.now + self.cfg.retry_backoff_s * (0.5 + draws[again])
+            uids = uids[again].tolist()
+            retries = self._retries_by_user
+            for uid in uids:
+                retries[uid] = retries.get(uid, 0) + 1
+            played = ~np.isnan(self.ready_at[slots[again]])
+            self._retried_after_playing.update(
+                itertools.compress(uids, played.tolist()))
+            # keep the user's original departure deadline (NaN sentinel)
+            nan = float("nan")
+            for t, uid, att in zip(retry_at.tolist(), uids,
+                                   (atts[again] + 1).tolist()):
+                heapq.heappush(self._pending_joins, (t, uid, att, nan))
 
     # ------------------------------------------------------------------
     # parent selection
     # ------------------------------------------------------------------
     def _candidate_pool(self) -> np.ndarray:
         """Slots usable as parents this step."""
-        return np.nonzero(
-            ((self.state == _PLAYING) | (self.state == _BUFFERING))
-        )[0]
+        state = self.state[: self._hi]
+        return np.flatnonzero((state == _PLAYING) | (state == _BUFFERING))
 
     def _sample_candidate_matrix(
         self, slots: np.ndarray, pool: np.ndarray
@@ -542,8 +624,8 @@ class FastSimulation:
         cfg = self.cfg
         n, n_cand = cand.shape
         k = self.k
-        heads = self.H[cand, :]                        # (n, C, k)
-        need = self.H[slots, :]                        # (n, k)
+        heads = np.take(self.H, cand, axis=0)          # (n, C, k)
+        need = np.take(self.H, slots, axis=0)          # (n, k)
         # Inequality (2) as a selection filter: a qualified parent's head
         # on the sub-stream must be within T_p of the best head among the
         # candidate (partner) set -- this is what keeps starved peers from
@@ -555,13 +637,18 @@ class FastSimulation:
             & (need[:, None, :] + 1.0 >= heads - cfg.buffer_seconds + 1.0)
             & (best_head[:, None, None] - heads < cfg.tp_seconds)
         )
-        keys = np.where(ok, self._rng.random((n, n_cand, k)), -1.0)
+        # keys lie in [0, 1); masked-out candidates drop below 0, so the
+        # argmax lands on a survivor whenever the pair has one
+        keys = self._rng.random((n, n_cand, k))
+        keys -= ~ok
         ci = keys.argmax(axis=1)                       # (n, k) winning column
-        got = np.take_along_axis(keys, ci[:, None, :], axis=1)[:, 0, :] > -0.5
-        rows, subs = np.nonzero(got)
-        if rows.size == 0:
+        got = np.take_along_axis(keys, ci[:, None, :], axis=1)[:, 0, :] >= 0.0
+        flat = np.flatnonzero(got)                     # into the (n, k) pairs
+        if flat.size == 0:
             return np.zeros(n, dtype=np.int64)
-        par = cand[rows, ci[rows, subs]]
+        rows = flat // k
+        subs = flat - rows * k
+        par = np.take(cand, rows * n_cand + np.take(ci, flat))
         caps = np.where(
             self.cls[par] == int(ConnectivityClass.SERVER),
             cfg.server_max_partners * k,
@@ -579,15 +666,16 @@ class FastSimulation:
         if accepted.size == 0:
             return np.zeros(n, dtype=np.int64)
         a_rows = rows[accepted]
-        a_subs = subs[accepted]
         a_par = par[accepted]
-        a_slots = slots[a_rows]
-        old = self.parent[a_slots, a_subs]
-        has_old = old >= 0
-        if has_old.any():
-            self.children -= np.bincount(old[has_old], minlength=self._cap)
-        self.parent[a_slots, a_subs] = a_par
-        self.children += np.bincount(a_par, minlength=self._cap)
+        a_flat = slots[a_rows] * k + subs[accepted]    # into self.parent
+        parent = self.parent.reshape(-1)               # a view: C order
+        old = parent[a_flat]
+        old = old[old >= 0]
+        hi = self._hi
+        if old.size:
+            self.children[:hi] -= np.bincount(old, minlength=hi)
+        parent[a_flat] = a_par
+        self.children[:hi] += np.bincount(a_par, minlength=hi)
         # classifier signal: a contributor-class parent got this child
         # through an *incoming* partnership (the child initiated); a
         # NAT/firewall parent could only be reached over a partnership
@@ -620,12 +708,14 @@ class FastSimulation:
             uids: List[int] = []
             atts: List[int] = []
             deps: List[float] = []
-            while self._pending_joins and self._pending_joins[0][0] <= now:
-                _t, uid, att, depart = heapq.heappop(self._pending_joins)
-                if np.isnan(depart):
+            pending = self._pending_joins
+            deadlines = self._user_deadline
+            while pending and pending[0][0] <= now:
+                _t, uid, att, depart = heapq.heappop(pending)
+                if depart != depart:  # NaN: a retry keeps its deadline
                     depart = self._retry_deadline(uid)
                 else:
-                    self._user_deadline[uid] = depart
+                    deadlines[uid] = depart
                 if depart <= now:
                     continue  # watch window already over
                 uids.append(uid)
@@ -641,7 +731,11 @@ class FastSimulation:
             _pt = self._mark_phase("arrivals", _pt)
 
         # 2. join pipeline -----------------------------------------------------
-        joining = np.nonzero(self.state == _JOINING)[0]
+        # nothing below allocates a slot, so every scan stops at ``hi``;
+        # ``state`` is a view, so it sees each phase's transitions
+        hi = self._hi
+        state = self.state[:hi]
+        joining = np.flatnonzero(state == _JOINING)
         pool = self._candidate_pool()
         if joining.size:
             eligible = joining[
@@ -652,7 +746,7 @@ class FastSimulation:
                 self.next_try[eligible] = now + cfg.bm_exchange_period_s
             elif eligible.size:
                 cand, valid = self._sample_candidate_matrix(eligible, pool)
-                has_cand = valid.any(axis=1)
+                has_cand = _any_last(valid)
                 self.next_try[eligible[~has_cand]] = (
                     now + cfg.bm_exchange_period_s
                 )
@@ -661,9 +755,9 @@ class FastSimulation:
                     cand = cand[has_cand]
                     valid = valid[has_cand]
                     # best head among this attempt's candidate set
-                    headmax = np.where(
-                        valid, self.H[cand, :].max(axis=2), -np.inf
-                    ).max(axis=1)
+                    rowmax = _max_last(self.H[:hi])
+                    headmax = _max_last(
+                        np.where(valid, np.take(rowmax, cand), -np.inf))
                     # Section IV.A: offset = (max head among partners) - T_p;
                     # peers whose candidates hold no data yet wait for a
                     # better sample (no back-off: the pool is still warming)
@@ -683,7 +777,7 @@ class FastSimulation:
                         self.H[off_rows, :] = (start - 1.0)[:, None]
                         self.start_idx[off_rows] = start
                         self.q[off_rows] = start
-                    want = self.parent[sel, :] < 0
+                    want = np.take(self.parent, sel, axis=0) < 0
                     filled = self._select_parents_batch(
                         sel, want, cand, valid, headmax
                     )
@@ -692,29 +786,36 @@ class FastSimulation:
                         self.state[hooked] = _BUFFERING
                         self._activities(
                             hooked, ActivityEvent.START_SUBSCRIPTION)
-                    short = sel[filled < want.sum(axis=1)]
+                    short = sel[filled < _count_last(want)]
                     self.next_try[short] = now + cfg.bm_exchange_period_s
         if timing:
             _pt = self._mark_phase("join", _pt)
 
         # 3. rates ------------------------------------------------------------------
-        active = (self.state == _BUFFERING) | (self.state == _PLAYING)
-        conn = self.parent >= 0  # (N, K) live connections
+        active = (state == _BUFFERING) | (state == _PLAYING)
+        conn = self.parent[:hi] >= 0  # (hi, K) live connections
         conn &= active[:, None]
-        any_conn = bool(conn.any())
+        # one flat (row-major) index per live connection; the parent and
+        # both heads are read through it once, for this phase and the next
+        flat = np.flatnonzero(conn)
+        any_conn = flat.size > 0
         if any_conn:
-            rows, cols = conn.nonzero()
-            pidx = self.parent[rows, cols]
-            lag = self.H[pidx, cols] - self.H[rows, cols]
+            H_flat = self.H.reshape(-1)              # a view: C order
+            rows = flat // k
+            pidx = np.take(self.parent, flat)
+            own = np.take(H_flat, flat)              # the child's head
+            # the parent's head, read before any head moves this step
+            up = np.take(H_flat, pidx * k + (flat - rows * k))
+            lag = up - own
             c = self.fast.catchup_factor
             is_catchup = lag > 0.5
             # max-min fair share with two demand tiers (1 and c) has a
             # closed form per parent: water level L solves
             #   sum min(demand_i, L) = capacity
-            n1 = np.bincount(pidx[~is_catchup], minlength=self._cap)
-            nc = np.bincount(pidx[is_catchup], minlength=self._cap)
-            cap_p = self.upload_slots
-            n_tot = n1 + nc
+            n_tot = np.bincount(pidx, minlength=hi)
+            nc = np.bincount(pidx, weights=is_catchup, minlength=hi)
+            n1 = n_tot - nc                          # exact: small integers
+            cap_p = self.upload_slots[:hi]
             with np.errstate(divide="ignore", invalid="ignore"):
                 # tier 1: everyone below demand 1 -> L = cap / n_tot
                 level_low = np.where(n_tot > 0, cap_p / n_tot, 0.0)
@@ -723,34 +824,33 @@ class FastSimulation:
             level = np.where(level_low <= 1.0, level_low,
                              np.minimum(level_high, c))
             conn_level = level[pidx]
-            rate_flat = np.where(is_catchup, np.minimum(conn_level, c),
-                                 np.minimum(conn_level, 1.0))
+            rate_flat = np.minimum(conn_level, np.where(is_catchup, c, 1.0))
             rate_flat = np.maximum(0.0, rate_flat)
         if timing:
             _pt = self._mark_phase("rates", _pt)
 
         # 4. advance heads ------------------------------------------------------------
-        H_prev = self.H.copy()
         if any_conn:
-            target_cap = H_prev[pidx, cols]          # one-step-lagged parent head
-            floor = target_cap - cfg.buffer_seconds + 1.0  # cache window
-            newH = self.H[rows, cols] + rate_flat * dt
-            newH = np.minimum(newH, target_cap)
+            # capped by the one-step-lagged parent head, floored by its
+            # cache window
+            floor = up - cfg.buffer_seconds + 1.0
+            newH = own + rate_flat * dt
+            newH = np.minimum(newH, up)
             # fast-forward over evicted blocks; charge the hole as missed,
             # but only the part the playout pointer has not already charged
             jumped = np.maximum(0.0, floor - np.maximum(newH, self.q[rows]))
-            hole = np.bincount(rows, weights=jumped, minlength=self._cap)
-            self.missed += hole
-            self.win_missed += hole
-            self.watch_missed += hole
+            hole = np.bincount(rows, weights=jumped, minlength=hi)
+            self.missed[:hi] += hole
+            self.win_missed[:hi] += hole
+            self.watch_missed[:hi] += hole
             newH = np.maximum(newH, floor)
             # account downloaded bits / uploaded bits
-            delivered = np.maximum(0.0, newH - self.H[rows, cols])
-            self.bits_down += cfg.block_bits * np.bincount(
-                rows, weights=delivered, minlength=self._cap)
-            self.bits_up += cfg.block_bits * np.bincount(
-                pidx, weights=delivered, minlength=self._cap)
-            self.H[rows, cols] = newH
+            delivered = np.maximum(0.0, newH - own)
+            self.bits_down[:hi] += cfg.block_bits * np.bincount(
+                rows, weights=delivered, minlength=hi)
+            self.bits_up[:hi] += cfg.block_bits * np.bincount(
+                pidx, weights=delivered, minlength=hi)
+            H_flat[flat] = newH
         # servers track the live edge directly (fed by the source off-model)
         edge = max(0.0, (now + dt) - 1.0)
         self.H[: self.n_servers, :] = edge
@@ -758,17 +858,16 @@ class FastSimulation:
             _pt = self._mark_phase("heads", _pt)
 
         # 5. playback -----------------------------------------------------------------
-        playing = self.state == _PLAYING
-        if playing.any():
-            prows = np.nonzero(playing)[0]
+        prows = np.flatnonzero(state == _PLAYING)
+        if prows.size:
             q_prev = self.q[prows]
             q_new = q_prev + dt
             self.q[prows] = q_new
             # per sub-stream: time in (q_prev, q_new] not covered by the head
-            heads = self.H[prows, :]
-            miss = np.clip(
+            heads = np.take(self.H, prows, axis=0)
+            miss = _sum_last(np.clip(
                 q_new[:, None] - np.maximum(heads, q_prev[:, None]), 0.0, dt
-            ).sum(axis=1)
+            ))
             due = dt * k
             self.due[prows] += due
             self.missed[prows] += miss
@@ -780,9 +879,9 @@ class FastSimulation:
             _pt = self._mark_phase("playback", _pt)
 
         # 6. ready check --------------------------------------------------------------
-        buffering = np.nonzero(self.state == _BUFFERING)[0]
+        buffering = np.flatnonzero(state == _BUFFERING)
         if buffering.size:
-            combined = self.H[buffering, :].min(axis=1) + 1.0
+            combined = _min_last(np.take(self.H, buffering, axis=0)) + 1.0
             ready = combined - self.start_idx[buffering] >= cfg.player_buffer_s
             ready_rows = buffering[ready]
             if ready_rows.size:
@@ -803,19 +902,20 @@ class FastSimulation:
         # 7. adaptation ---------------------------------------------------------------
         # each peer re-evaluates Inequalities (1)/(2) once per buffer-map
         # exchange period (the event that carries partner heads in the
-        # detailed engine), phase-staggered by slot -- not on every dt
-        act = np.nonzero(active)[0]
+        # detailed engine), phase-staggered by slot -- not on every dt:
+        # this step's slots are those with (slot + steps_run) % every == 0
         adapt_every = max(1, int(round(cfg.bm_exchange_period_s / dt)))
-        if adapt_every > 1 and act.size:
-            act = act[(act + self.steps_run) % adapt_every == 0]
+        first = -self.steps_run % adapt_every
+        act = np.flatnonzero(active[first::adapt_every]) * adapt_every + first
         if act.size:
-            heads = self.H[act, :]
-            best = heads.max(axis=1, keepdims=True)
-            lag_bad = (best - heads) >= cfg.ts_seconds          # Inequality (1)
-            par = self.parent[act, :]
+            rowmax = _max_last(self.H[:hi])         # every slot's best head
+            heads = np.take(self.H, act, axis=0)
+            best = np.take(rowmax, act)
+            lag_bad = (best[:, None] - heads) >= cfg.ts_seconds  # Inequality (1)
+            par = np.take(self.parent, act, axis=0)
             has_parent = par >= 0
             par_safe = np.maximum(par, 0)
-            pstate = np.where(has_parent, self.state[par_safe], _EMPTY)
+            pstate = np.where(has_parent, np.take(self.state, par_safe), _EMPTY)
             parent_dead = has_parent & ~(
                 (pstate == _PLAYING) | (pstate == _BUFFERING)
             )
@@ -829,11 +929,10 @@ class FastSimulation:
             # uniformly and never trigger adaptation -- which the real
             # protocol's BM exchange does not allow.
             phead = np.where(
-                has_parent,
-                self.H[par_safe, np.arange(self.k)[None, :]],
+                has_parent, np.take(self.H, par_safe * k + np.arange(k)),
                 -np.inf,
             )
-            peer_best = best[act >= self.n_servers, 0]
+            peer_best = best[act >= self.n_servers]
             if peer_best.size >= 4:
                 # 75th-percentile stand-in via O(n) partition (nearest-rank;
                 # the threshold is a heuristic, interpolation adds nothing)
@@ -841,7 +940,7 @@ class FastSimulation:
                 population_ref = float(np.partition(peer_best, q)[q])
             else:
                 population_ref = -np.inf
-            local_best = np.maximum(phead.max(axis=1), best[:, 0])
+            local_best = np.maximum(_max_last(phead), best)
             local_best = np.maximum(local_best, population_ref)
             ineq2_bad = (local_best[:, None] - phead) >= cfg.tp_seconds
             ineq2_bad &= has_parent
@@ -853,12 +952,13 @@ class FastSimulation:
                 )
                 reg.counter("fastsim.ineq2_violations").inc(int(ineq2_bad.sum()))
                 reg.counter("fastsim.dead_parent_links").inc(int(parent_dead.sum()))
-            rows_fix = np.nonzero(need_fix.any(axis=1))[0]
+            rows_fix = np.flatnonzero(_any_last(need_fix))
             if rows_fix.size:
                 slots_fix = act[rows_fix]
-                forced = (
-                    parent_dead[rows_fix] | ~has_parent[rows_fix]
-                ).any(axis=1)
+                forced = _any_last(
+                    np.take(parent_dead, rows_fix, axis=0)
+                    | ~np.take(has_parent, rows_fix, axis=0)
+                )
                 # forced re-selection honours the bm-exchange back-off,
                 # voluntary adaptation the T_a cool-down
                 open_now = np.where(
@@ -870,39 +970,40 @@ class FastSimulation:
                 slots_fix = slots_fix[open_now]
                 forced = forced[open_now]
             if rows_fix.size:
-                want = need_fix[rows_fix]
-                vol = np.nonzero(~forced)[0]
+                want = np.take(need_fix, rows_fix, axis=0)
+                vol = np.flatnonzero(~forced)
                 if vol.size:
                     # voluntary adaptation: one sub-stream per cool-down --
                     # the one lagging its row's best head the most
+                    rows_vol = rows_fix[vol]
                     gap = np.where(
-                        want[vol],
-                        best[rows_fix[vol], 0][:, None] - heads[rows_fix[vol], :],
+                        np.take(want, vol, axis=0),
+                        best[rows_vol][:, None]
+                        - np.take(heads, rows_vol, axis=0),
                         -np.inf,
                     )
-                    worst = gap.argmax(axis=1)
-                    single = np.zeros_like(want[vol])
-                    single[np.arange(vol.size), worst] = True
-                    want[vol] = single
+                    want[vol] = gap.argmax(axis=1)[:, None] == np.arange(k)
                     self.cool_until[slots_fix[vol]] = now + cfg.ta_seconds
                 # release the parents being replaced before re-selecting
-                wr, wc = np.nonzero(want)
-                rel = self.parent[slots_fix[wr], wc]
+                wflat = np.flatnonzero(want)
+                wr = wflat // k
+                pflat = slots_fix[wr] * k + (wflat - wr * k)
+                parent = self.parent.reshape(-1)     # a view: C order
+                rel = parent[pflat]
                 rel = rel[rel >= 0]
                 if rel.size:
-                    self.children -= np.bincount(rel, minlength=self._cap)
-                self.parent[slots_fix[wr], wc] = -1
+                    self.children[:hi] -= np.bincount(rel, minlength=hi)
+                parent[pflat] = -1
                 if pool.size:
                     cand, valid = self._sample_candidate_matrix(
                         slots_fix, pool)
-                    headmax = np.where(
-                        valid, self.H[cand, :].max(axis=2), -np.inf
-                    ).max(axis=1)
+                    headmax = _max_last(
+                        np.where(valid, np.take(rowmax, cand), -np.inf))
                     filled = self._select_parents_batch(
                         slots_fix, want, cand, valid, headmax)
                 else:
                     filled = np.zeros(slots_fix.size, dtype=np.int64)
-                short = slots_fix[filled < want.sum(axis=1)]
+                short = slots_fix[filled < _count_last(want)]
                 self.next_try[short] = now + cfg.bm_exchange_period_s
                 if _obs is not None:
                     _obs.registry.counter("fastsim.adaptations").inc(
@@ -911,10 +1012,11 @@ class FastSimulation:
             _pt = self._mark_phase("adaptation", _pt)
 
         # 8. departures ----------------------------------------------------------------
-        active_or_joining = self.state != _EMPTY
+        active_or_joining = state != _EMPTY
         active_or_joining[: self.n_servers] = False
         # scheduled departures
-        due_leave = np.nonzero(active_or_joining & (self.depart_at <= now))[0]
+        due_leave = np.flatnonzero(
+            active_or_joining & (self.depart_at[:hi] <= now))
         if due_leave.size:
             silent = rng.random(due_leave.size) < 0.1
             self._leave_batch(due_leave, LeaveReason.NORMAL,
@@ -922,26 +1024,24 @@ class FastSimulation:
         # program endings
         while self._program_endings and self._program_endings[-1][0] <= now:
             _t, prob = self._program_endings.pop()
-            watchers = np.nonzero(
-                (self.state == _PLAYING) | (self.state == _BUFFERING)
-            )[0]
+            watchers = np.flatnonzero(
+                (state == _PLAYING) | (state == _BUFFERING))
             watchers = watchers[watchers >= self.n_servers]
             if watchers.size:
                 going = watchers[rng.random(watchers.size) < prob]
-                for uid in self.user_id[going]:
-                    self._user_deadline[int(uid)] = now
+                self._user_deadline.update(
+                    dict.fromkeys(self.user_id[going].tolist(), now))
                 self._leave_batch(going, LeaveReason.PROGRAM_END, retry=False)
         # patience
-        waiting = (self.state == _JOINING) | (self.state == _BUFFERING)
+        waiting = (state == _JOINING) | (state == _BUFFERING)
         waiting[: self.n_servers] = False
-        impatient = np.nonzero(
-            waiting & (now - self.joined_at > cfg.join_patience_s)
-        )[0]
+        impatient = np.flatnonzero(
+            waiting & (now - self.joined_at[:hi] > cfg.join_patience_s))
         if impatient.size:
             self._leave_batch(impatient, LeaveReason.IMPATIENCE)
         # stall watchdog
-        players = np.nonzero(self.state == _PLAYING)[0]
-        players = players[players >= self.n_servers]
+        players = np.flatnonzero(state[self.n_servers:] == _PLAYING)
+        players += self.n_servers
         if players.size:
             check = players[self.next_watch[players] <= now]
             if check.size:
@@ -960,12 +1060,15 @@ class FastSimulation:
 
         # 9. status reports ---------------------------------------------------------------
         period = cfg.status_report_period_s
-        alive = np.nonzero(active_or_joining & (self.state != _EMPTY))[0]
+        alive = np.flatnonzero(active_or_joining & (state != _EMPTY))
         if alive.size:
+            joined = self.joined_at[alive]
+            phase = self.report_phase[alive]
+            age = now - joined
             fires = alive[
-                (np.floor((now - self.joined_at[alive] + self.report_phase[alive]) / period)
-                 > np.floor((now - dt - self.joined_at[alive] + self.report_phase[alive]) / period))
-                & (now - self.joined_at[alive] >= dt)
+                (np.floor((age + phase) / period)
+                 > np.floor((now - dt - joined + phase) / period))
+                & (age >= dt)
             ]
             self._send_status_reports(fires)
         if timing:
@@ -977,7 +1080,7 @@ class FastSimulation:
             dur = perf_counter() - _t0  # repro: noqa[DET002] obs step-timer instrumentation only
             reg = _obs.registry
             reg.counter("fastsim.steps").inc()
-            reg.counter("fastsim.peers_stepped").inc(int(active.sum()))
+            reg.counter("fastsim.peers_stepped").inc(int(np.count_nonzero(active)))
             reg.timer("fastsim.step_s").observe(dur)
             live = self.concurrent_users
             reg.gauge("fastsim.live_peers").set(live)
@@ -995,7 +1098,7 @@ class FastSimulation:
         due = self.win_due[fires]
         with np.errstate(divide="ignore", invalid="ignore"):
             window = 1.0 - self.win_missed[fires] / due
-        n_parents = (self.parent[fires] >= 0).sum(axis=1)
+        n_parents = _count_last(np.take(self.parent, fires, axis=0) >= 0)
         up = self.bits_up[fires]
         down = self.bits_down[fires]
         header = ((fires + 100_000).tolist(), self.user_id[fires].tolist(),
@@ -1006,7 +1109,8 @@ class FastSimulation:
             now, *header,
             [max(0.0, min(1.0, cont)) if measured else None
              for measured, cont in zip((due > 0).tolist(), window.tolist())],
-            (self.H[fires].min(axis=1) + 1.0 - self.q[fires]).tolist(),
+            (_min_last(np.take(self.H, fires, axis=0)) + 1.0
+             - self.q[fires]).tolist(),
             parents, (self.state[fires] == _PLAYING).tolist())
         lines[1::3] = TrafficReport.log_strings(
             now, *header,
@@ -1036,16 +1140,14 @@ class FastSimulation:
     @property
     def concurrent_users(self) -> int:
         """Alive user peers right now."""
-        mask = self.state != _EMPTY
-        mask[: self.n_servers] = False
-        return int(mask.sum())
+        return int(np.count_nonzero(
+            self.state[self.n_servers: self._hi] != _EMPTY))
 
     @property
     def playing_users(self) -> int:
         """User peers currently in the PLAYING state."""
-        mask = self.state == _PLAYING
-        mask[: self.n_servers] = False
-        return int(mask.sum())
+        return int(np.count_nonzero(
+            self.state[self.n_servers: self._hi] == _PLAYING))
 
     def mean_continuity(self) -> float:
         """Mean lifetime continuity over playing peers."""

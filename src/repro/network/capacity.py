@@ -125,9 +125,8 @@ class CapacityModel:
         rng: np.random.Generator,
     ) -> np.ndarray:
         """Vectorized sampling for a population of classes."""
-        classes = list(classes)
-        out = np.empty(len(classes), dtype=float)
-        arr = np.array([int(c) for c in classes])
+        arr = np.array(classes, dtype=np.int64)  # IntEnum members are ints
+        out = np.empty(arr.size, dtype=float)
         for cls, profile in self.profiles.items():
             mask = arr == int(cls)
             n = int(mask.sum())

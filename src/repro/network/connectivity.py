@@ -168,4 +168,4 @@ class ConnectivityMix:
         classes = self.classes
         probs = np.array([self.fractions[c] for c in classes], dtype=float)
         idx = rng.choice(len(classes), size=int(n), p=probs)
-        return [classes[i] for i in idx]
+        return [classes[i] for i in idx.tolist()]

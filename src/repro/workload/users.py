@@ -36,7 +36,6 @@ class SessionRecord:
 
     session_id: int
     attempt: int
-    started_at: float
     ended_at: Optional[float] = None
     outcome: Optional[SessionOutcome] = None
     player_ready_at: Optional[float] = None
@@ -88,8 +87,7 @@ class UserAgent:
         node.on_session_end = self._on_session_end
         self.node = node
         self.sessions.append(
-            SessionRecord(session_id=node.session_id, attempt=self.attempts,
-                          started_at=now)
+            SessionRecord(session_id=node.session_id, attempt=self.attempts)
         )
         # normal departure when the intended watch time is up; the event
         # names the session, not the node, so it does not keep a departed

@@ -415,7 +415,7 @@ def _run_both(upload, subs, quanta, window, dead=frozenset()):
     for deliver in (UploadScheduler.deliver, deliver_oracle):
         sched = UploadScheduler(upload, 1.0, 1.0)
         for child, sub, start in subs:
-            sched.subscribe(child, sub, start, now=0.0)
+            sched.subscribe(child, sub, start)
         pushes = []
 
         def push(conn, first, last, sched=sched, pushes=pushes):

@@ -67,7 +67,7 @@ class TestDeliverFastPath:
         def run(cap):
             sched = UploadScheduler(cap, 1.0, 1.0)
             for c in range(3):
-                sched.subscribe(c, 0, 1, now=0.0)
+                sched.subscribe(c, 0, 1)
             got = {c: 0 for c in range(3)}
 
             def push(conn, first, last):

@@ -4,10 +4,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.config import SystemConfig
 from repro.fastsim import FastSimConfig, FastSimulation
-from repro.fastsim.engine import _BUFFERING, _EMPTY, _PLAYING
+from repro.fastsim.engine import (
+    _BUFFERING,
+    _EMPTY,
+    _PLAYING,
+    _any_last,
+    _count_last,
+    _max_last,
+    _min_last,
+    _sum_last,
+)
 from repro.telemetry.reports import (
     ActivityEvent,
     ActivityReport,
@@ -196,3 +208,45 @@ class TestDeterminism:
 
         assert run(4) == run(4)
         assert run(4) != run(5)
+
+
+#: (n, K) and (n, C, K) shapes, n = 0 included, K from 1 to 16
+_SHAPES = st.one_of(
+    st.tuples(st.integers(0, 12), st.integers(1, 16)),
+    st.tuples(st.integers(0, 5), st.integers(1, 10), st.integers(1, 16)),
+)
+# NaN-free, with -inf (the engine's "no candidate" value) and signed
+# zeros; bounded so that no sum of 16 terms overflows
+_FLOATS = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False), st.just(-np.inf))
+
+
+class TestLastAxisReductions:
+    """The step's column-by-column reductions against the numpy calls
+    they replace: same values, same dtype, same shape."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hnp.arrays(np.float64, _SHAPES, elements=_FLOATS))
+    def test_float_reductions(self, a):
+        for helper, reference in ((_max_last, np.max), (_min_last, np.min)):
+            got, want = helper(a), reference(a, axis=-1)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(hnp.arrays(np.float64, _SHAPES, elements=_FLOATS))
+    def test_sum_is_bit_identical_at_every_width(self, a):
+        # below 8 terms by columns, from 8 on numpy's own pairwise sum:
+        # the playback phase's missed blocks must not move in the last bit
+        got, want = _sum_last(a), np.sum(a, axis=-1)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(hnp.arrays(np.bool_, _SHAPES))
+    def test_bool_reductions(self, a):
+        for helper, reference in ((_any_last, np.any), (_count_last, np.sum)):
+            got, want = helper(a), reference(a, axis=-1)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+

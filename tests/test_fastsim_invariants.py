@@ -14,13 +14,12 @@ from repro.fastsim import FastSimulation
 from repro.fastsim.engine import _BUFFERING, _EMPTY, _PLAYING
 
 
-@pytest.fixture(params=[0, 1, 2])
-def stepped_sim(request):
-    """A sim with churny workload, plus a per-step invariant checker."""
+def churny_sim(seed, *, n=60, capacity_hint=512):
+    """A sim with a churny workload: staggered arrivals, intended
+    departures, a program end and the retries they cause."""
     cfg = SystemConfig(n_servers=2)
-    sim = FastSimulation(cfg, seed=request.param, capacity_hint=512)
-    rng = np.random.default_rng(request.param + 100)
-    n = 60
+    sim = FastSimulation(cfg, seed=seed, capacity_hint=capacity_hint)
+    rng = np.random.default_rng(seed + 100)
     times = np.sort(rng.uniform(0, 120, n))
     durs = rng.exponential(150, n) + 20
     sim.add_arrivals(times, durs)
@@ -28,7 +27,15 @@ def stepped_sim(request):
     return sim
 
 
-def check_invariants(sim):
+@pytest.fixture(params=[0, 1, 2])
+def stepped_sim(request):
+    """A sim with churny workload, plus a per-step invariant checker."""
+    return churny_sim(request.param)
+
+
+def check_invariants(sim, prev_hi=0):
+    """Assert the invariants after one step; returns ``sim._hi`` for the
+    next call's ``prev_hi``."""
     active = (sim.state == _BUFFERING) | (sim.state == _PLAYING)
     edge = sim.now  # source produced ~now blocks
     # heads never beyond the live edge
@@ -55,14 +62,26 @@ def check_invariants(sim):
     # empty slots hold no connections
     empty = sim.state == _EMPTY
     assert (sim.parent[empty] == -1).all()
+    # the high-water mark: never falls, and every slot at or above it is
+    # EMPTY with no connection either way, so scans may stop there
+    hi = sim._hi
+    assert prev_hi <= hi <= sim._cap
+    assert (sim.state[hi:] == _EMPTY).all()
+    assert (sim.parent[hi:] == -1).all()
+    assert (sim.children[hi:] == 0).all()
+    # below it, the EMPTY slots are exactly the free list (slot allocation
+    # takes the free list first, then the slots from the mark up)
+    assert sorted(sim._free) == np.flatnonzero(empty[:hi]).tolist()
+    return hi
 
 
 class TestSteppedInvariants:
     def test_invariants_hold_every_step(self, stepped_sim):
         sim = stepped_sim
+        hi = 0
         for _ in range(320):
             sim.step()
-            check_invariants(sim)
+            hi = check_invariants(sim, hi)
 
     def test_all_users_terminate(self, stepped_sim):
         sim = stepped_sim
@@ -76,3 +95,17 @@ class TestSteppedInvariants:
         sim.run(until=400.0)
         arrivals = [e.arrival_time for e in sim.log.entries()]
         assert arrivals == sorted(arrivals)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_capacity_hint_does_not_change_log(self, seed):
+        # twice the fixture's audience, so that 64 slots must grow while
+        # retries and departures already feed the free list
+        logs = []
+        for hint in (64, 4096):
+            sim = churny_sim(seed, n=120, capacity_hint=hint)
+            sim.run(until=400.0)
+            logs.append(sim.log.dumps())
+            if hint == 64:
+                assert sim._cap > 64 and sim._free
+        assert logs[0] == logs[1]
+
