@@ -7,8 +7,8 @@ The package mirrors Fig. 1 of the paper:
   buffer-map exchange, incoming/outgoing direction bookkeeping).
 * :mod:`repro.core.stream` -- stream manager (sub-stream subscription,
   parent selection, push delivery, playback).
-* :mod:`repro.core.buffer` -- synchronization buffer, cache buffer and the
-  2K-tuple buffer map of Fig. 2.
+* :mod:`repro.core.buffer` -- synchronization buffer and the 2K-tuple
+  buffer map of Fig. 2.
 * :mod:`repro.core.adaptation` -- Inequalities (1)/(2), cool-down timer.
 * :mod:`repro.core.node` / :mod:`repro.core.source` -- peer node, source,
   dedicated servers and the bootstrap node.
@@ -18,7 +18,7 @@ The package mirrors Fig. 1 of the paper:
 
 from repro.core.config import SystemConfig
 from repro.core.blocks import StreamGeometry
-from repro.core.buffer import BufferMap, CacheBuffer, SyncBuffer
+from repro.core.buffer import BufferMap, SyncBuffer
 from repro.core.membership import MCache, MCacheEntry, ReplacementPolicy
 from repro.core.multichannel import MultiChannelDeployment
 from repro.core.node import PeerNode, SessionOutcome
@@ -30,7 +30,6 @@ __all__ = [
     "SystemConfig",
     "StreamGeometry",
     "BufferMap",
-    "CacheBuffer",
     "SyncBuffer",
     "MCache",
     "MCacheEntry",

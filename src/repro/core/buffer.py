@@ -1,5 +1,5 @@
-"""Node-side buffering (Fig. 2): synchronization buffer, cache buffer and
-the 2K-tuple buffer map.
+"""Node-side buffering (Fig. 2): synchronization buffer and the 2K-tuple
+buffer map.
 
 A received block first lands in the per-sub-stream *synchronization buffer*,
 which absorbs out-of-order arrival and exposes the contiguous head.  The
@@ -7,7 +7,8 @@ which absorbs out-of-order arrival and exposes the contiguous head.  The
 advances as far as global sequence numbers are continuous and stalls at the
 first sub-stream whose next block is missing (Fig. 2b).  Combined blocks
 move to the *cache buffer*, a sliding window of the last ``B`` seconds from
-which the node serves its children.
+which the node serves its children; the window is one int per node
+(``PeerNode._cache_window``, ``int(cfg.buffer_seconds)`` local indices).
 
 The *buffer map* (BM) is the 2K-tuple exchanged between partners: the first
 K entries are the latest received global sequence numbers per sub-stream,
@@ -22,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.core.blocks import StreamGeometry
 
-__all__ = ["SyncBuffer", "CacheBuffer", "BufferMap"]
+__all__ = ["SyncBuffer", "BufferMap"]
 
 
 class SyncBuffer:
@@ -108,28 +109,6 @@ class SyncBuffer:
         for idx in range(max(first, next_needed), last + 1):
             advanced += self.receive(idx)
         return advanced
-
-
-class CacheBuffer:
-    """Sliding availability window over combined blocks.
-
-    A node can serve a child only blocks that are still within ``window``
-    local indices of the sub-stream head -- older blocks have been pushed
-    out by playout (Section IV.A's unavailability hazard for joiners that
-    request too-old blocks).
-    """
-
-    __slots__ = ("_window",)
-
-    def __init__(self, window: int) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self._window = int(window)
-
-    @property
-    def window(self) -> int:
-        """Cache-window span in blocks."""
-        return self._window
 
 
 @dataclass(frozen=True, slots=True)

@@ -96,8 +96,9 @@ class SystemConfig:
             raise ValueError("stream_rate_bps must be positive")
         if not self.n_substreams >= 1:
             raise ValueError("n_substreams must be >= 1")
-        if not self.buffer_seconds > 0:
-            raise ValueError("buffer_seconds must be positive")
+        # the cache window is int(buffer_seconds) blocks; it must hold one
+        if not self.buffer_seconds >= 1:
+            raise ValueError("buffer_seconds must be at least 1 s")
         if not (self.ts_seconds > 0 and self.tp_seconds > 0):
             raise ValueError("T_s and T_p must be positive")
         if not self.ta_seconds >= 0:

@@ -27,7 +27,7 @@ from repro.core.adaptation import (
     choose_parent,
     qualified_parents,
 )
-from repro.core.buffer import BufferMap, CacheBuffer, SyncBuffer
+from repro.core.buffer import BufferMap, SyncBuffer
 from repro.core.membership import (
     MCache,
     MCacheEntry,
@@ -86,7 +86,7 @@ class PeerNode:
         "session_id", "attempt", "connectivity", "upload_bps", "_state",
         "alive", "outcome", "joined_at", "start_subscription_at",
         "player_ready_at", "left_at", "_rng", "mcache", "partners", "cooldown",
-        "scheduler", "cache", "pull_mode", "pull_sched", "pull_req", "sync",
+        "scheduler", "pull_mode", "pull_sched", "pull_req", "sync",
         "heads", "parents", "playback", "start_index", "bits_downloaded",
         "_bits_down_reported", "_bits_up_reported", "adaptation_count",
         "on_session_end", "_pending_partners", "_last_bootstrap_contact",
@@ -144,7 +144,6 @@ class PeerNode:
         self.scheduler = UploadScheduler(
             self.upload_bps, cfg.substream_rate_bps, cfg.block_bits
         )
-        self.cache = CacheBuffer(int(cfg.buffer_seconds))
         self.pull_mode = cfg.delivery_mode == "pull"
         self.pull_sched: Optional[PullScheduler] = None
         self.pull_req: Optional[PullRequester] = None
@@ -185,7 +184,7 @@ class PeerNode:
         # hot-path caches: these are invariants of the session, hoisted out
         # of per-tick/per-push code (cfg.block_bits is a derived property)
         self._block_bits = float(cfg.block_bits)
-        self._cache_window = self.cache.window
+        self._cache_window = int(cfg.buffer_seconds)
         self._stale_timeout = 3.0 * cfg.bm_exchange_period_s + 1.0
         self._node_lookup = system._nodes.get
 
@@ -555,7 +554,7 @@ class PeerNode:
             self.cfg.tp_seconds,
             self.geometry,
             exclude=() if current is None else (current,),
-            cache_window=self.cache.window,
+            cache_window=self._cache_window,
         )
         chosen = choose_parent(
             candidates, substream, self.geometry, self._rng,

@@ -18,8 +18,8 @@ subcommands.  For the vectorized engines (``fast``, ``ode``) it also
 enables their built-in phase stopwatch (``REPRO_PROFILE_PHASES``) and
 prints a per-step-phase wall-time table after the hot spots -- the
 engine-semantics view (arrivals/join/rates/heads/...) that cProfile's
-per-function ranking cannot give, and the tool that explains
-non-monotonic peer-steps/s in BENCH_scale.json.
+per-function ranking cannot give, and the tool that explains where a
+step's time goes when peer-steps/s does not scale with the audience.
 
 The hot-spot table reports, per call site (``file:line(function)``):
 call count, total internal time, per-call internal time, cumulative time

@@ -245,7 +245,6 @@ class FastSimulation:
 
         # opt-in per-phase wall-clock accounting (profile CLI breakdown)
         self.phase_timing = bool(os.environ.get(PHASE_TIMING_ENV))
-        self.phase_seconds: Dict[str, float] = {}
 
         # observability: auto-attach to an active repro.obs session; the
         # step keeps a single ``is None`` guard per instrumented block, so
@@ -335,7 +334,6 @@ class FastSimulation:
         """Charge the wall-clock since ``t0`` to phase ``name``."""
         t1 = perf_counter()  # repro: noqa[DET002] opt-in phase-timing instrumentation only
         span = t1 - t0
-        self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + span
         PHASE_TOTALS[name] = PHASE_TOTALS.get(name, 0.0) + span
         return t1
 

@@ -163,7 +163,6 @@ class MeanFieldBackend:
         self.now = 0.0
         self.steps_run = 0
         self.phase_timing = bool(os.environ.get(PHASE_TIMING_ENV))
-        self.phase_seconds: Dict[str, float] = {}
 
         cfg = self.cfg
         # class-stratified mean-field supply parameters: mean upload in
@@ -335,7 +334,6 @@ class MeanFieldBackend:
     def _mark_phase(self, name: str, t0: float) -> float:
         t1 = perf_counter()  # repro: noqa[DET002] opt-in phase timing only
         dt = t1 - t0
-        self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + dt
         PHASE_TOTALS[name] = PHASE_TOTALS.get(name, 0.0) + dt
         return t1
 

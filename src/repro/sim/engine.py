@@ -54,12 +54,12 @@ class SimulationError(RuntimeError):
 class Event:
     """A scheduled callback.
 
-    Events still compare by ``(time, seq)`` for backwards compatibility,
-    but the heap itself stores ``(time, seq, event)`` tuples so sift
-    comparisons never reach Python.  Cancelling an event merely flags it;
-    the heap entry is skipped lazily when popped (cheaper than heap surgery
-    for the cancellation rates seen in partner-reselection workloads),
-    though the engine compacts in bulk when cancellations pile up.
+    The heap stores ``(time, seq, event)`` tuples with a unique ``seq``, so
+    sift comparisons never reach the event.  Cancelling an event merely
+    flags it; the heap entry is skipped lazily when popped (cheaper than
+    heap surgery for the cancellation rates seen in partner-reselection
+    workloads), though the engine compacts in bulk when cancellations
+    pile up.
     """
 
     __slots__ = ("time", "seq", "fn", "cancelled", "_engine")
@@ -74,11 +74,6 @@ class Event:
         # counter; detached (set to None) once the entry leaves the heap so
         # late cancels cannot corrupt the count
         self._engine = engine
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flag = " cancelled" if self.cancelled else ""

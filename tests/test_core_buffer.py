@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.blocks import StreamGeometry
 from repro.core.buffer import (
     BufferMap,
-    CacheBuffer,
     SyncBuffer,
 )
 
@@ -105,12 +104,6 @@ class TestSyncBuffer:
                 assert j in seen
             # pending are all strictly beyond the head
             assert all(p > buf.head for p in buf.pending)
-
-
-class TestCacheBuffer:
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
-            CacheBuffer(window=0)
 
 
 class TestBufferMap:

@@ -66,6 +66,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             SystemConfig(mcache_size=4, bootstrap_sample=8)
 
+    def test_cache_window_must_hold_one_block(self):
+        # a node's cache window is int(buffer_seconds) blocks: 0.5 s passes
+        # every other check but would leave the window empty
+        with pytest.raises(ValueError):
+            SystemConfig(buffer_seconds=0.5, tp_seconds=0.25)
+
     def test_tp_must_fit_in_buffer(self):
         with pytest.raises(ValueError):
             SystemConfig(tp_seconds=60.0, buffer_seconds=60.0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import SystemConfig
 from repro.core.node import NodeState, PeerNode
 from repro.core.source import SOURCE_ID
 from repro.core.system import CoolstreamingSystem
@@ -155,3 +156,14 @@ class TestSystemWiring:
             return system.log.dumps()
 
         assert run_once(1) != run_once(2)
+
+    def test_hundred_peers_reach_playback(self):
+        """100 users 0.5 s apart for 5 simulated minutes, two servers:
+        nearly all stream (measured: all 100)."""
+        system = CoolstreamingSystem(SystemConfig(n_servers=2), seed=0)
+        for u in range(100):
+            system.engine.schedule(
+                u * 0.5, lambda u=u: system.spawn_peer(user_id=u)
+            )
+        system.run(until=300.0)
+        assert system.summary()["playing"] >= 90

