@@ -13,15 +13,14 @@ analyzer**: pass 1 harvests cross-module facts from every file (the
 telemetry fields each report's ``_wire_form`` table puts on the wire,
 fields each analysis ``Fold`` reads, obs metric names emitted vs
 referenced, the async function inventory -- see
-:mod:`repro.check.project`); pass 2 runs the per-file rules plus
-*project rules* that check producer/consumer contracts across module
-boundaries -- the drift class that corrupts reproduced figures without
-ever crashing::
+:mod:`repro.check.project`) and runs the per-file rules; pass 2 runs
+the *project rules* that check producer/consumer contracts across
+module boundaries -- the drift class that corrupts reproduced figures
+without ever crashing::
 
     python -m repro check src/              # text findings, exit 1 if any
     python -m repro check src/ --output json
     python -m repro check src/ --output sarif   # PR-diff annotations
-    python -m repro check src/ --cache .repro-check-cache
     python -m repro check --list-rules
 
 Rule catalog

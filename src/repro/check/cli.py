@@ -5,7 +5,6 @@ Usage::
     python -m repro check src/                 # text findings
     python -m repro check src/ --output json   # machine-readable
     python -m repro check src/ --output sarif  # for PR-diff annotation
-    python -m repro check src/ --cache .repro-check-cache
     python -m repro check src/repro/sim --select DET001,DET002
     python -m repro check --list-rules
 
@@ -18,13 +17,7 @@ The JSON document is stable (schema version 2)::
      "counts": {"DET001": 2, ...},
      "findings": [{"rule", "message", "path", "line", "col",
                    "severity"}, ...],
-     "errors": [],
-     "cache": {"hits": 0, "misses": 0}}
-
-``--cache DIR`` keys per-file results on a content hash of the file
-bytes plus the active rule-set version; findings are byte-identical
-with and without the cache (project rules always recompute from the
-cached fact tables).
+     "errors": []}
 """
 
 from __future__ import annotations
@@ -56,8 +49,7 @@ def cmd_check(args) -> int:
 
     select, ignore = _split_rules(args.select), _split_rules(args.ignore)
     try:
-        report = check_paths(args.paths, select=select, ignore=ignore,
-                             cache_dir=args.cache)
+        report = check_paths(args.paths, select=select, ignore=ignore)
     except CheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, Iterator,
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator,
                     List, Optional, Tuple)
 
 if TYPE_CHECKING:  # import cycle: project.py uses collect_aliases
@@ -50,8 +50,8 @@ __all__ = [
     "resolve_name",
 ]
 
-#: bump whenever rule behavior changes -- part of the result-cache key,
-#: so stale cached findings from an older rule set can never be served
+#: bump whenever rule behavior changes -- SARIF reports it as the tool
+#: version
 RULESET_VERSION = "2.0"
 
 
@@ -83,13 +83,6 @@ class Finding:
         return {"rule": self.rule, "message": self.message,
                 "path": self.path, "line": self.line, "col": self.col,
                 "severity": self.severity}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "Finding":
-        """Inverse of :meth:`to_dict` (result-cache deserialization)."""
-        return cls(rule=d["rule"], message=d["message"], path=d["path"],
-                   line=d["line"], col=d["col"],
-                   severity=d.get("severity", "error"))
 
     @property
     def sort_key(self) -> Tuple[str, int, int, str]:
@@ -230,10 +223,7 @@ class Rule:
 
     Rules with ``project = True`` skip the per-file walk entirely and
     implement :meth:`check_project` instead: one invocation against the
-    merged fact tables of every checked file.  Because their input is
-    the (cacheable) fact table rather than a tree, their findings are
-    recomputed on every run -- a cached file can still participate in a
-    *new* cross-module violation introduced by an uncached file.
+    merged fact tables of every checked file.
     """
 
     id: str = ""
@@ -323,7 +313,7 @@ def _file_pass(source: str, path: str,
     """Pass 1 on one file: parse, harvest facts, run per-file rules.
 
     Returns the harvested facts plus the (suppression-filtered, sorted)
-    per-file findings -- exactly the pair the result cache stores.
+    per-file findings.
     """
     from repro.check.project import harvest_file
 
@@ -400,9 +390,6 @@ class CheckReport:
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     errors: List[str] = field(default_factory=list)
-    #: result-cache statistics (both stay 0 when no ``--cache`` is given)
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -429,7 +416,6 @@ class CheckReport:
             "counts": self.counts,
             "findings": [f.to_dict() for f in self.findings],
             "errors": list(self.errors),
-            "cache": {"hits": self.cache_hits, "misses": self.cache_misses},
         }
 
 
@@ -460,43 +446,19 @@ def iter_python_files(paths: Iterable[str]) -> List[Path]:
 
 def check_paths(paths: Iterable[str],
                 select: Optional[Iterable[str]] = None,
-                ignore: Optional[Iterable[str]] = None,
-                cache_dir: Optional[str] = None) -> CheckReport:
+                ignore: Optional[Iterable[str]] = None) -> CheckReport:
     """Check every ``.py`` file under ``paths`` with the active rule set.
 
-    Two passes: per-file rules run (or are served from ``cache_dir``,
-    keyed on file bytes + rule-set version) while harvesting each file's
-    fact record; project rules then run once over the merged tables.
-    Project findings are never cached -- recomputing them from cached
-    facts is cheap and keeps cross-file analysis sound when only one
-    side of a contract changed.
+    Two passes: per-file rules run while harvesting each file's fact
+    record; project rules then run once over the merged tables.
     """
     rules = select_rules(select, ignore)
-    cache = None
-    if cache_dir is not None:
-        from repro.check.cache import ResultCache
-        cache = ResultCache(Path(cache_dir), rules)
-
     report = CheckReport()
     all_facts: List["FileFacts"] = []
     for path in iter_python_files(paths):
         try:
-            data = path.read_bytes()
-        except OSError as exc:
-            report.errors.append(f"{path}: cannot read: {exc}")
-            continue
-        if cache is not None:
-            hit = cache.lookup(data)
-            if hit is not None:
-                facts, findings = hit
-                all_facts.append(facts)
-                report.findings.extend(findings)
-                report.files_checked += 1
-                report.cache_hits += 1
-                continue
-        try:
-            source = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
+            source = path.read_bytes().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             report.errors.append(f"{path}: cannot read: {exc}")
             continue
         try:
@@ -507,9 +469,6 @@ def check_paths(paths: Iterable[str],
         all_facts.append(facts)
         report.findings.extend(findings)
         report.files_checked += 1
-        if cache is not None:
-            cache.store(data, facts, findings)
-            report.cache_misses += 1
     report.findings.extend(_project_pass(all_facts, rules))
     report.findings.sort(key=lambda f: f.sort_key)
     return report

@@ -19,10 +19,6 @@ This module is the first pass of the two-pass analyzer:
 * :class:`ProjectContext` merges every file's facts into the global
   tables project rules (``SCH001``/``OBS001``/``ASY002``) check in
   pass 2.
-
-Facts are plain JSON-serializable data on purpose: the ``--cache``
-result cache stores them per content hash, so a warm run rebuilds the
-full :class:`ProjectContext` without re-parsing a single unchanged file.
 """
 
 from __future__ import annotations
@@ -31,8 +27,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import PurePath
-from typing import (Any, Dict, FrozenSet, Iterable, List, Optional, Set,
-                    Tuple)
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 __all__ = [
     "FileFacts",
@@ -154,23 +149,10 @@ class ReportClassFacts:
     #: field -> the wire key its ``_wire_form`` table entry gives it
     field_keys: Dict[str, str] = field(default_factory=dict)
 
-    def to_json(self) -> Dict[str, object]:
-        return {"bases": self.bases, "fields": self.fields,
-                "attrs": self.attrs, "field_keys": self.field_keys}
-
-    @classmethod
-    def from_json(cls, d: Dict[str, Any]) -> "ReportClassFacts":
-        return cls(bases=list(d["bases"]), fields=list(d["fields"]),
-                   attrs=list(d["attrs"]), field_keys=dict(d["field_keys"]))
-
 
 @dataclass
 class FileFacts:
-    """Everything pass 1 learned about one module.
-
-    Strictly JSON-plain so the result cache can persist it; see
-    :meth:`to_json` / :meth:`from_json`.
-    """
+    """Everything pass 1 learned about one module."""
 
     path: str
     module: str
@@ -197,50 +179,6 @@ class FileFacts:
     #: line -> suppressed rule ids (None = all), statement-span expanded
     suppressions: Dict[int, Optional[FrozenSet[str]]] = \
         field(default_factory=dict)
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "report_classes": {k: v.to_json()
-                               for k, v in self.report_classes.items()},
-            "fold_reads": [list(t) for t in self.fold_reads],
-            "metric_emits": {k: list(v)
-                             for k, v in self.metric_emits.items()},
-            "metric_prefixes": self.metric_prefixes,
-            "metric_refs": [list(t) for t in self.metric_refs],
-            "async_funcs": self.async_funcs,
-            "async_methods": self.async_methods,
-            "sync_methods": self.sync_methods,
-            "bare_calls": [list(t) for t in self.bare_calls],
-            "suppressions": {
-                str(line): (None if rules is None else sorted(rules))
-                for line, rules in self.suppressions.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, d: Dict[str, Any]) -> "FileFacts":
-        return cls(
-            path=d["path"],
-            module=d["module"],
-            report_classes={k: ReportClassFacts.from_json(v)
-                            for k, v in d["report_classes"].items()},
-            fold_reads=[(t[0], t[1], t[2], t[3]) for t in d["fold_reads"]],
-            metric_emits={k: (v[0], v[1])
-                          for k, v in d["metric_emits"].items()},
-            metric_prefixes=list(d["metric_prefixes"]),
-            metric_refs=[(t[0], t[1], t[2]) for t in d["metric_refs"]],
-            async_funcs=list(d["async_funcs"]),
-            async_methods=list(d["async_methods"]),
-            sync_methods=list(d["sync_methods"]),
-            bare_calls=[(t[0], t[1], t[2], t[3], t[4])
-                        for t in d["bare_calls"]],
-            suppressions={
-                int(line): (None if rules is None else frozenset(rules))
-                for line, rules in d["suppressions"].items()
-            },
-        )
 
 
 # --------------------------------------------------------------------------
@@ -438,7 +376,7 @@ def harvest_file(tree: ast.Module, path: str, source: str) -> FileFacts:
     _Harvester(facts, collect_aliases(tree)).visit(tree)
     facts.suppressions = expand_suppressions(
         parse_suppressions(source), statement_spans(tree))
-    # deterministic fact ordering: cache round-trips must be byte-stable
+    # dedup, and a fixed fact order whatever the walk order
     facts.metric_prefixes = sorted(set(facts.metric_prefixes))
     facts.async_funcs = sorted(set(facts.async_funcs))
     facts.async_methods = sorted(set(facts.async_methods))

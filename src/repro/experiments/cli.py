@@ -335,9 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "--format", dest="output",
                    choices=("text", "json", "sarif"), default="text",
                    help="output format (default text)")
-    p.add_argument("--cache", metavar="DIR", default=None,
-                   help="content-hash result cache directory "
-                        "(unchanged files skip parsing entirely)")
     p.add_argument("--select", metavar="RULES", default=None,
                    help="comma-separated rule ids to run exclusively")
     p.add_argument("--ignore", metavar="RULES", default=None,

@@ -117,9 +117,3 @@ class FigureResult:
             "metrics": dict(self.metrics),
             "notes": list(self.notes),
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        """JSON dump of the figure's metrics (not the rendered blocks)."""
-        import json
-
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

